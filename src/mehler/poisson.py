@@ -46,9 +46,9 @@ from .ou import (
     _cross_fractions,
     _directions,
     _iter_max,
+    _mixture_values,
     _series_of,
     _single_point,
-    _substitution_values,
 )
 
 SUBORDINATION_SCHEMES = ("square", "split")
@@ -166,12 +166,9 @@ def _poisson_values(
         out = _poisson_spectral_series(series, t).evaluate(points)
         return np.atleast_1d(np.asarray(out, dtype=float))
     if math.isinf(t):
-        return _substitution_values(f, points, math.inf, cfg)
+        return _mixture_values(f, points, (math.inf,), (1.0,), cfg)
     u, omega = subordination_rule(quad)
-    acc = np.zeros(points.shape[0])
-    for uj, oj in zip(u, omega):
-        acc += oj * _substitution_values(f, points, t * t / (4.0 * uj), cfg)
-    return acc
+    return _mixture_values(f, points, t * t / (4.0 * u), omega, cfg)
 
 
 def poisson_apply_subordination(
@@ -235,15 +232,13 @@ def poisson_apply_kernel(
         raise ValueError(f"time must be positive, got {t}")
     xa = _single_point(x, f.dimension)
     if math.isinf(t):
-        return float(_substitution_values(f, xa[None, :], math.inf, cfg)[0])
+        return float(_mixture_values(f, xa[None, :], (math.inf,), (1.0,), cfg)[0])
     L, W = _kernel_rule(t, cfg.kernel_panels, cfg.kernel_panel_order)
-    total = 0.0
-    for Lk, Wk in zip(L, W):
-        total += Wk * float(_substitution_values(f, xa[None, :], float(Lk), cfg)[0])
-    mean = float(_substitution_values(f, xa[None, :], math.inf, cfg)[0])
+    # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
-    total += mean * math.erf(t / (2.0 * math.sqrt(cut)))
-    return total
+    times = np.append(L, math.inf)
+    weights = np.append(W, math.erf(t / (2.0 * math.sqrt(cut))))
+    return float(_mixture_values(f, xa[None, :], times, weights, cfg)[0])
 
 
 def poisson_apply_spectral(f, x, t: float):

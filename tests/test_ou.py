@@ -10,19 +10,29 @@ Independent references used here:
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mehler
+import mehler.ou as ou_module
 from mehler import (
     HermiteSeries,
+    NonFiniteValueError,
     PointwiseFunction,
     QuadratureConfig,
+    catalog_entry,
+    gauss_hermite_grid,
     hermite_eval,
 )
 from mehler.cones import ConeSpec
 from mehler.ou import (
     OUEvaluation,
+    _mixture_values,
     maximal_bound_report,
     nontangential_maximal,
     ou_apply,
@@ -34,6 +44,7 @@ from mehler.ou import (
     ou_transform,
 )
 from mehler.measure import gaussian_norm
+from mehler.poisson import poisson_apply, poisson_apply_kernel
 
 CFG = QuadratureConfig()
 
@@ -283,3 +294,99 @@ def test_bound_report_h2_ingredients_finite():
     for key in ("lhs", "mgamma", "tail", "rhs", "ratio"):
         assert math.isfinite(rec[key])
     assert rec["lhs"] <= rec["rhs"] * max(1.0, rec["ratio"])
+
+
+# ---------------------------------------------------------------------------
+# blocked shifted quadrature
+# ---------------------------------------------------------------------------
+
+# (dimension, f-points per block): d = 1, 2 split rows and nodes, d = 3 splits
+# its 64^3 nodes at both budgets
+BLOCK_CASES = [(1, 7), (1, 64), (1, 4096), (2, 7), (2, 64), (2, 4096), (3, 4096), (3, 1 << 14)]
+
+
+def one_shot_ou(f, x, t: float) -> float:
+    # the unsplit OU block: every node of the rule in one call of f
+    r, s = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+    nodes, wts = gauss_hermite_grid(f.dimension, CFG.gh_nodes)
+    return float(f.values(r * x + s * nodes) @ wts)
+
+
+@pytest.mark.parametrize("name", ["bump", "ball", "spike"])
+@pytest.mark.parametrize("dimension,budget", BLOCK_CASES)
+def test_block_budget_does_not_change_values(monkeypatch, name, dimension, budget):
+    f = catalog_entry(name, dimension).rep
+    points = np.random.default_rng(dimension).uniform(-0.8, 0.8, size=(2, dimension))
+    times = np.array([0.05, 0.7, 3.0])
+    weights = np.array([0.25, 0.5, 0.25])
+    reference = np.array([
+        sum(w * one_shot_ou(f, x, t) for t, w in zip(times, weights)) for x in points
+    ])
+    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 1 << 22)
+    whole = _mixture_values(f, points, times, weights, CFG)
+    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", budget)
+    split = _mixture_values(f, points, times, weights, CFG)
+    np.testing.assert_allclose(whole, reference, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
+    for x in points:
+        single = _mixture_values(f, x[None, :], (0.7,), (1.0,), CFG)[0]
+        assert single == pytest.approx(one_shot_ou(f, x, 0.7), rel=1e-14, abs=0.0)
+
+
+def test_empty_mixture_is_zero():
+    points = np.zeros((3, 2))
+    assert np.array_equal(_mixture_values(bump(2), points, (), (), CFG), np.zeros(3))
+
+
+def test_non_finite_value_in_a_later_block_is_reported(monkeypatch):
+    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 64)
+    calls = []
+
+    def wall(p):
+        calls.append(p.shape[0])
+        return np.where(p[:, 0] > 4.0, np.inf, 1.0)
+
+    f = PointwiseFunction(2, wall, name="wall")
+    x = (0.0, 0.0)
+    routes = {
+        "ou_apply": lambda: ou_apply(f, x, 1.0),
+        "poisson_apply": lambda: poisson_apply(f, x, 1.0, route="subordination"),
+        "poisson_apply_kernel": lambda: poisson_apply_kernel(f, x, 1.0),
+    }
+    for route, call in routes.items():
+        calls.clear()
+        with pytest.raises(NonFiniteValueError) as info:
+            call()
+        assert len(calls) > 1, route
+        assert max(calls) <= 64, route
+        node = info.value.node
+        assert node.shape == (2,) and node[0] > 4.0, route
+        assert info.value.value == math.inf, route
+        assert str(node.tolist()) in str(info.value), route
+
+
+def test_d3_cone_supremum_memory_is_bounded():
+    # the truncated-cone supremum of the d = 3 ball at 2 times: 57 points
+    # against 64^3 nodes per time, ~920 MB if each time were one block.
+    # The child reports VmHWM, the peak of its own address space: ru_maxrss
+    # would also carry the peak of this test process, which it inherits
+    # across fork and exec.
+    script = """
+import numpy as np
+from mehler import catalog_entry, nontangential_maximal
+from mehler.cones import ConeSpec
+apex = (0.3, -0.2, 0.5)
+hi = (1.0 - 1e-9) * ConeSpec(apex, "truncated-parabolic").time_cap
+times = np.geomspace(1e-4 * hi, hi, 2)
+est = nontangential_maximal(catalog_entry("ball", 3).rep, apex, "truncated-parabolic", times=times)
+assert est.grid_size == 2 * 57
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+    src = str(Path(mehler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    peak_mb = int(done.stdout.split()[-1]) / 1024.0
+    assert peak_mb < 300.0

@@ -14,10 +14,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from mehler import HermiteSeries, PointwiseFunction, QuadratureConfig, hermite_eval
+from mehler import (
+    HermiteSeries,
+    PointwiseFunction,
+    QuadratureConfig,
+    gauss_hermite_grid,
+    hermite_eval,
+)
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
     SubordinationQuadrature,
+    _kernel_rule,
     bochner_identity_error,
     poisson_apply,
     poisson_apply_kernel,
@@ -112,6 +119,20 @@ def test_kernel_route_spectral_oracle():
     subord = poisson_apply_subordination(H2, 0.5, 0.8, CFG)
     assert kernel == pytest.approx(want, abs=1e-6)
     assert kernel == pytest.approx(subord, abs=1e-6)
+
+
+def test_kernel_route_with_an_empty_rule_is_the_weighted_mean():
+    # at t = 60 the essential-decay cut t^2/120 = 30 lies past the flat-tail
+    # cut 18.42, so no L_k is left and only the gamma-mean atom remains
+    t = 60.0
+    L, W = _kernel_rule(t, CFG.kernel_panels, CFG.kernel_panel_order)
+    assert L.size == 0 and W.size == 0
+    f = bump(2)
+    nodes, wts = gauss_hermite_grid(2, CFG.gh_nodes)
+    mean = float(f.values(nodes) @ wts)
+    cut = max(t * t / 120.0, 18.42)
+    want = mean * math.erf(t / (2.0 * math.sqrt(cut)))
+    assert poisson_apply_kernel(f, (0.4, -1.0), t, CFG) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_split_scheme_cross_check():
