@@ -211,15 +211,15 @@ def _build_catalog(dimension: int) -> tuple[TestFunction, ...]:
             reference_norm=lambda p: ball_mass ** (1.0 / p),
         )
     )
+
+    def spike(p: np.ndarray) -> np.ndarray:
+        sq = np.sum(p * p, axis=1)
+        return (1.0 + np.sqrt(sq)) ** -(d + 1) * np.exp(0.5 * sq)
+
     entries.append(
         TestFunction(
             name="spike",
-            rep=PointwiseFunction(
-                d,
-                lambda p: (1.0 + np.sqrt(np.sum(p * p, axis=1))) ** -(d + 1)
-                * np.exp(0.5 * np.sum(p * p, axis=1)),
-                name="spike",
-            ),
+            rep=PointwiseFunction(d, spike, name="spike"),
             class_tags=frozenset({"L1-only"}),
             nonnegative=True,
             max_p=2.0,

@@ -363,8 +363,10 @@ class HermiteSeries:
 class PointwiseFunction:
     """A black-box function of points in R^d.
 
-    evaluator maps an (n, d) array to an (n,) array when vectorized=True,
-    otherwise a single length-d point to a float.
+    evaluator maps a float (n, d) array to an (n,) array when
+    vectorized=True, otherwise a single length-d point to a float. The
+    quadrature routes hand it coordinate-major blocks: the (n, d) array may
+    be Fortran-ordered, so an evaluator must not assume C-contiguity.
     """
 
     dimension: int
@@ -452,7 +454,8 @@ def gauss_hermite_grid(dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite rule normalized against gamma_d.
 
     Returns (points, weights) with points of shape (n^d, d) and weights
-    summing to 1, so  integral of g dgamma_d ~= weights @ g(points).
+    summing to 1, so  integral of g dgamma_d ~= weights @ g(points). Both
+    are read-only; points is Fortran-ordered (points.T is C-contiguous).
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
@@ -460,16 +463,13 @@ def gauss_hermite_grid(dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"tensor rule with {n}^{dimension} nodes is too large")
     xi, w = _gh_rule_1d(n)
     w1 = w / math.sqrt(math.pi)
-    if dimension == 1:
-        pts = xi.reshape(-1, 1).copy()
-        wts = w1.copy()
-    else:
-        grids = np.meshgrid(*([xi] * dimension), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wt = w1
-        for _ in range(dimension - 1):
-            wt = np.multiply.outer(wt, w1)
-        wts = wt.ravel()
+    grids = np.meshgrid(*([xi] * dimension), indexing="ij")
+    # coordinate-major: pts.T is C-contiguous, so each column of pts is contiguous
+    pts = np.stack([g.ravel() for g in grids]).T
+    wt = w1
+    for _ in range(dimension - 1):
+        wt = np.multiply.outer(wt, w1)
+    wts = wt.ravel()
     pts.flags.writeable = False
     wts.flags.writeable = False
     return pts, wts

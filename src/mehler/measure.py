@@ -132,13 +132,15 @@ def _ball_rule(ball: GaussianBall, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     if d in (2, 3):
         axes = [c[i] + r * gx for i in range(d)]
         grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+        # coordinate-major (d, n): the returned points are a Fortran-ordered view
+        pts_t = np.stack([g.ravel() for g in grids])
         wt = r * gw
         for _ in range(d - 1):
             wt = np.multiply.outer(wt, r * gw)
-        wts = wt.ravel() * np.exp(-np.sum(pts * pts, axis=1)) / math.pi ** (d / 2.0)
-        inside = np.sum((pts - c) ** 2, axis=1) <= r * r
-        return pts[inside], wts[inside]
+        wts = wt.ravel() * np.exp(-np.sum(pts_t * pts_t, axis=0)) / math.pi ** (d / 2.0)
+        inside = np.sum((pts_t - c[:, None]) ** 2, axis=0) <= r * r
+        # compress keeps the (d, m) result C-ordered; boolean indexing would not
+        return np.compress(inside, pts_t, axis=1).T, wts[inside]
     # d > 3: seeded Monte Carlo draw from gamma_d itself
     rng = np.random.default_rng(cfg.mc_seed)
     samples = rng.normal(0.0, math.sqrt(0.5), size=(cfg.mc_samples, d))

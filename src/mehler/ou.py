@@ -22,6 +22,13 @@ accumulator per point. Its working memory is therefore a block, under
 GH grid (8.4 MB in d = 3 at 64 nodes); it does not grow with the number of
 points or times.
 
+Blocks are built coordinate-major: a C-contiguous (d, n) buffer whose
+transpose, a Fortran-ordered (n, d) view, is what f receives, so a row
+norm inside f adds d contiguous columns instead of reducing short rows.
+The same holds for the cached GH grid and the masked ball rule of
+`hl_maximal`. f therefore receives a float (n, d) array that may be
+Fortran-ordered; evaluators must not assume C-contiguity.
+
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
 toward the smallest time and then lexicographically in the point so
@@ -104,6 +111,7 @@ def _mixture_values(
     """
     d = f.dimension
     nodes, wts = gauss_hermite_grid(d, cfg.gh_nodes)
+    nodes_t = nodes.T
     pairs = [_decay_pair(float(t)) for t in times]
     r = np.array([p[0] for p in pairs])
     s = np.array([p[1] for p in pairs])
@@ -118,8 +126,10 @@ def _mixture_values(
         centres = r[k, None] * points[p]
         row_vals = np.zeros(k.size)
         for lo in range(0, n_nodes, node_step):
-            shifted = centres[:, None, :] + s[k, None, None] * nodes[None, lo : lo + node_step]
-            shifted = shifted.reshape(-1, d)
+            # built as (d, rows, nodes) so f gets contiguous coordinate columns
+            step = nodes_t[:, None, lo : lo + node_step]
+            shifted = centres.T[:, :, None] + s[None, k, None] * step
+            shifted = shifted.reshape(d, -1).T
             vals = f.values(shifted)
             _require_finite(vals, shifted, "semigroup integrand")
             row_vals += vals.reshape(k.size, -1) @ wts[lo : lo + node_step]
@@ -271,10 +281,17 @@ def _directions(dimension: int, count: int) -> np.ndarray:
     return out
 
 
-def _iter_max(best, candidate_value, candidate_arg):
-    value, arg = best
-    if candidate_value > value:
-        return candidate_value, candidate_arg
+def _section_max(best, values, arg_at):
+    """Fold one grid section into the running (value, argmax) pair.
+
+    The section's first largest |value| replaces best only when strictly
+    greater, so earlier sections and earlier rows win ties; arg_at(i) builds
+    the argmax of row i, for the winner only.
+    """
+    mags = np.abs(values)
+    i = int(np.argmax(mags))
+    if mags[i] > best[0]:
+        return float(mags[i]), arg_at(i)
     return best
 
 
@@ -297,11 +314,9 @@ def ou_maximal(
     ts = list(ts)
     if include_limit:
         ts.append(math.inf)
-    best = (-math.inf, None)
-    for t in ts:
-        v = abs(ou_apply(f, xa, float(t), "auto", cfg))
-        best = _iter_max(best, v, float(t))
-    return MaximalEstimate(value=best[0], argmax=best[1], grid_size=len(ts))
+    vals = [ou_apply(f, xa, float(t), "auto", cfg) for t in ts]
+    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
+    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
 
 def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:
@@ -365,8 +380,7 @@ def nontangential_maximal(
         else:
             vals = _mixture_values(f, pts, (t,), (1.0,), cfg)
         cells += pts.shape[0]
-        for row, v in zip(pts, np.abs(vals)):
-            best = _iter_max(best, float(v), (tuple(float(c) for c in row), t))
+        best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
     return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
 
 

@@ -45,8 +45,8 @@ from .measure import MaximalEstimate, _gl_rule
 from .ou import (
     _cross_fractions,
     _directions,
-    _iter_max,
     _mixture_values,
+    _section_max,
     _series_of,
     _single_point,
 )
@@ -318,11 +318,9 @@ def poisson_maximal(
     ts = list(ts)
     if include_limit:
         ts.append(math.inf)
-    best = (-math.inf, None)
-    for t in ts:
-        v = abs(poisson_apply(f, xa, float(t), "auto", cfg, quad))
-        best = _iter_max(best, v, float(t))
-    return MaximalEstimate(value=best[0], argmax=best[1], grid_size=len(ts))
+    vals = [poisson_apply(f, xa, float(t), "auto", cfg, quad) for t in ts]
+    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
+    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
 
 def poisson_nontangential_maximal(
@@ -368,6 +366,5 @@ def poisson_nontangential_maximal(
         pts = pts[order]
         vals = _poisson_values(f, pts, t, cfg, quad)
         cells += pts.shape[0]
-        for row, v in zip(pts, np.abs(vals)):
-            best = _iter_max(best, float(v), (tuple(float(c) for c in row), t))
+        best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
     return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)

@@ -95,6 +95,26 @@ def test_spike_values_match_formula():
     assert vals[1] == pytest.approx((1.0 + r) ** -3 * math.exp(1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spike_squared_norm_taken_once_is_bitwise_the_two_pass_formula(d):
+    p = np.random.default_rng(d).uniform(-3.0, 3.0, size=(500, d))
+    two_pass = (1.0 + np.sqrt(np.sum(p * p, axis=1))) ** -(d + 1) * np.exp(
+        0.5 * np.sum(p * p, axis=1)
+    )
+    assert np.array_equal(catalog_entry("spike", d).rep.values(p), two_pass)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pointwise_entries_do_not_depend_on_memory_layout(d):
+    # the quadrature routes hand f Fortran-ordered (n, d) blocks
+    rng = np.random.default_rng(10 + d)
+    block = np.asfortranarray(np.vstack([rng.uniform(-2.0, 2.0, size=(400, d)), np.eye(d)]))
+    assert block.flags.f_contiguous and (d == 1 or not block.flags.c_contiguous)
+    for name in ("bump", "ball", "spike"):
+        rep = catalog_entry(name, d).rep
+        assert np.array_equal(rep.values(block), rep.values(np.ascontiguousarray(block))), name
+
+
 def test_tags_and_nonnegativity():
     assert "polynomial" in catalog_entry("x3", 1).class_tags
     assert "bounded-continuous" in catalog_entry("bump", 1).class_tags

@@ -15,6 +15,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss, hermval
+from scipy.special import roots_hermite
 
 from mehler import (
     HermiteSeries,
@@ -172,6 +173,16 @@ def test_gamma_weights_normalized():
         assert wts.sum() == pytest.approx(1.0, abs=1e-13)
         # coordinate variance of gamma_d is 1/2
         assert np.dot(wts, pts[:, 0] ** 2) == pytest.approx(0.5, abs=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_is_coordinate_major_and_read_only(d):
+    pts, wts = gauss_hermite_grid(d, 8)
+    assert pts.flags.f_contiguous and pts.T.flags.c_contiguous
+    assert not pts.flags.writeable and not wts.flags.writeable
+    x, _ = roots_hermite(8)
+    rows = np.stack([g.ravel() for g in np.meshgrid(*([x] * d), indexing="ij")], axis=1)
+    assert np.array_equal(pts, rows)
 
 
 def test_orthonormality_against_independent_rule():

@@ -43,7 +43,7 @@ from mehler.ou import (
     ou_maximal,
     ou_transform,
 )
-from mehler.measure import gaussian_norm
+from mehler.measure import gaussian_norm, hl_maximal
 from mehler.poisson import poisson_apply, poisson_apply_kernel
 
 CFG = QuadratureConfig()
@@ -390,3 +390,77 @@ with open("/proc/self/status") as status:
     )
     peak_mb = int(done.stdout.split()[-1]) / 1024.0
     assert peak_mb < 300.0
+
+
+# ---------------------------------------------------------------------------
+# block layout handed to f
+# ---------------------------------------------------------------------------
+
+
+def layout_spy(dimension: int):
+    # a black box that records (f_contiguous, shape) of every block it is handed
+    seen = []
+
+    def evaluator(p):
+        seen.append((p.flags.f_contiguous, p.shape))
+        return np.exp(-np.sum(p * p, axis=1))
+
+    return PointwiseFunction(dimension, evaluator, name="spy"), seen
+
+
+# 2 times x 3 points = 6 rows of 64^d nodes at budgets of 2^14 points:
+# d = 1 fits in one block, d = 2 takes 4 rows a block, d = 3 splits each row
+MIXTURE_BLOCKS = {
+    1: [(384, 1)],
+    2: [(16384, 2), (8192, 2)],
+    3: [(16384, 3)] * 96,
+}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_mixture_blocks_are_coordinate_major(dimension):
+    f, seen = layout_spy(dimension)
+    points = np.random.default_rng(dimension).uniform(-0.5, 0.5, size=(3, dimension))
+    _mixture_values(f, points, (0.1, 1.0), (0.5, 0.5), CFG)
+    assert [shape for _, shape in seen] == MIXTURE_BLOCKS[dimension]
+    assert all(f_contiguous for f_contiguous, _ in seen)
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_rule_blocks_are_coordinate_major(dimension):
+    x = np.full(dimension, 0.2)
+    n_nodes = CFG.gh_nodes ** dimension
+    f, seen = layout_spy(dimension)
+    ou_apply_kernel(f, x, 0.5, CFG)
+    gaussian_norm(f, 2.0, CFG)
+    assert seen == [(True, (n_nodes, dimension))] * 2
+    seen.clear()
+    radii = (0.1, 0.5, 2.0)
+    hl_maximal(f, x, CFG, radii=radii)
+    assert len(seen) == len(radii)
+    for f_contiguous, (n, d) in seen:
+        assert f_contiguous and d == dimension and 1 < n <= CFG.ball_nodes ** dimension
+
+
+# ---------------------------------------------------------------------------
+# tie-breaking of the suprema
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cone_argmax_of_a_constant_is_the_first_cell(dimension):
+    # every cell of T_t 1 = 1 ties: the smallest time wins, then the
+    # lexicographically smallest point of its cross-section
+    one = HermiteSeries(dimension, {(0,) * dimension: 1.0})
+    apex = np.linspace(0.3, -0.4, dimension)
+    times, fractions = (0.02, 0.01), (0.0, 0.5, 0.9)
+    est = nontangential_maximal(one, apex, "parabolic-gaussian", CFG, times, fractions)
+    a = ConeSpec(tuple(apex), "parabolic-gaussian").aperture(0.01)
+    cells = [tuple(apex)] + [
+        tuple(apex + fr * a * u)
+        for fr in fractions[1:]
+        for u in ou_module._directions(dimension, CFG.cross_angular)
+    ]
+    assert est.value == 1.0
+    assert est.argmax == (min(cells), 0.01)
+    assert ou_maximal(one, apex, CFG, times).argmax == 0.01

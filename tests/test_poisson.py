@@ -263,6 +263,28 @@ def test_nontangential_dominates_on_grid_members():
         assert est.value >= ref - 1e-12
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_argmax_of_a_constant_is_the_first_cell(dimension):
+    # every cell of P_t 1 = 1 ties: the smallest time wins, then the
+    # lexicographically smallest point of its cross-section
+    from mehler.cones import ConeSpec
+    from mehler.ou import _directions
+
+    one = HermiteSeries(dimension, {(0,) * dimension: 1.0})
+    apex = np.linspace(0.3, -0.4, dimension)
+    times, fractions = (0.02, 0.01), (0.0, 0.5, 0.9)
+    est = poisson_nontangential_maximal(one, apex, CFG, times, fractions)
+    a = ConeSpec(tuple(apex), "gaussian").aperture(0.01)
+    cells = [tuple(apex)] + [
+        tuple(apex + fr * a * u)
+        for fr in fractions[1:]
+        for u in _directions(dimension, CFG.cross_angular)
+    ]
+    assert est.value == 1.0
+    assert est.argmax == (min(cells), 0.01)
+    assert poisson_maximal(one, apex, CFG, times).argmax == 0.01
+
+
 def test_nontangential_argmax_in_gaussian_cone():
     from mehler.cones import ConeSpec, cone_contains
 

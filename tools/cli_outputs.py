@@ -1,0 +1,49 @@
+"""Write the canonical `mehler` CLI outputs of a checkout into a directory.
+
+    python3 tools/cli_outputs.py OUT_DIR [--root CHECKOUT]
+
+Each file holds the stdout of one command, run with CHECKOUT/src on
+PYTHONPATH (CHECKOUT defaults to the checkout holding this script). Run it on
+two checkouts and compare with `diff -r OUT_A OUT_B`: no output means the
+outputs are byte-identical.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+
+COMMANDS = {
+    "verify-fast-seed7.json": ["verify", "--level", "fast", "--seed", "7"],
+    "converge-h_2.csv": ["converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5"],
+    "converge-poisson-ball-d1.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
+                                     "--function", "ball", "--apex", "0.5"],
+    "converge-poisson-bump-d2.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
+                                     "--function", "bump", "--dim", "2", "--apex", "0.3,0.2"],
+    "dominate-bump-d2.json": ["dominate", "--dim", "2", "--function", "bump", "--format", "json"],
+    "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
+    "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
+                             "--x", "0.3,0.2,0.1", "--t", "0.5"],
+}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out_dir")
+    ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    args = ap.parse_args()
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(args.root), "src"))
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, cmd in COMMANDS.items():
+        proc = subprocess.run([sys.executable, "-m", "mehler.cli", *cmd], env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+            return 1
+        with open(os.path.join(args.out_dir, name), "w") as fh:
+            fh.write(proc.stdout)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
