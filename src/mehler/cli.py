@@ -75,7 +75,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value file preloading any flag")
     p.add_argument("--dim", type=int, help="ambient dimension (1, 2, or 3)")
     p.add_argument("--gh-nodes", type=int, dest="gh_nodes", help="Gauss-Hermite nodes per axis")
-    p.add_argument("--seed", type=int, help="seed for any randomized grid")
+    p.add_argument("--seed", type=int, help="seed of the verify suite's random samples")
 
 
 def _add_experiment(p: argparse.ArgumentParser):
@@ -195,7 +195,7 @@ def _experiment_config(args) -> ExperimentConfig:
         cone=_effective(args, "cone", "parabolic-gaussian"),
         quadrature=_quadrature(args),
     )
-    for key in ("eta", "decay", "path_points", "exponent", "seed"):
+    for key in ("eta", "decay", "path_points", "exponent"):
         val = _effective(args, key)
         if val is not None:
             kwargs[key] = val

@@ -87,7 +87,6 @@ class ExperimentConfig:
     alphas: tuple = field(default_factory=_default_alphas)
     exponent: float = 0.25
     quadrature: QuadratureConfig = DEFAULT_CONFIG
-    seed: int = 20240814
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):

@@ -214,7 +214,6 @@ class QuadratureConfig:
     """Node counts, grids, and cutoffs for every quadrature in the package.
 
     gh_nodes        Gauss-Hermite nodes per axis (tensorized in dimension d).
-    improper_nodes  total nodes for the half-line subordination integral.
     radius_grid     log grid of ball radii for the Hardy-Littlewood supremum.
     time_grid       log grid of semigroup times for the time suprema.
     ball_nodes      Gauss-Legendre nodes per axis for ball integrals.
@@ -224,11 +223,12 @@ class QuadratureConfig:
     cross_angular   angular directions per cross-section in d = 2.
     kernel_panels   panel count for the subordinated-kernel radial integral.
     kernel_panel_order  Gauss-Legendre order inside each such panel.
-    mc_samples, mc_seed  Monte Carlo fallback (only used for balls in d > 3).
+
+    The subordination integral of P_t has its own rule,
+    `mehler.poisson.SubordinationQuadrature`, which `refined` leaves alone.
     """
 
     gh_nodes: int = 64
-    improper_nodes: int = 200
     radius_grid: LogGrid = field(default_factory=lambda: LogGrid(64, 1e-3, 8.0))
     time_grid: LogGrid = field(default_factory=lambda: LogGrid(64, 1e-4, 10.0))
     ball_nodes: int = 64
@@ -238,14 +238,10 @@ class QuadratureConfig:
     cross_angular: int = 8
     kernel_panels: int = 40
     kernel_panel_order: int = 12
-    mc_samples: int = 200_000
-    mc_seed: int = 20240814
 
     def __post_init__(self):
         if not (2 <= self.gh_nodes <= 1024):
             raise ValueError(f"gh_nodes must be in [2, 1024], got {self.gh_nodes}")
-        if self.improper_nodes < 16:
-            raise ValueError(f"improper_nodes must be >= 16, got {self.improper_nodes}")
         if self.ball_nodes < 2:
             raise ValueError(f"ball_nodes must be >= 2, got {self.ball_nodes}")
         if self.fd_step <= 0:
@@ -256,14 +252,11 @@ class QuadratureConfig:
             raise ValueError("cross-section grid needs >= 2 radial and >= 1 angular points")
         if self.kernel_panels < 4 or self.kernel_panel_order < 2:
             raise ValueError("kernel quadrature needs >= 4 panels of order >= 2")
-        if self.mc_samples < 1000:
-            raise ValueError(f"mc_samples must be >= 1000, got {self.mc_samples}")
 
     def refined(self, factor: int = 2) -> "QuadratureConfig":
         """Same configuration with every grid `factor` times finer."""
         return QuadratureConfig(
             gh_nodes=min(1024, self.gh_nodes * factor),
-            improper_nodes=self.improper_nodes * factor,
             radius_grid=self.radius_grid.refined(factor),
             time_grid=self.time_grid.refined(factor),
             ball_nodes=self.ball_nodes * factor,
@@ -273,8 +266,6 @@ class QuadratureConfig:
             cross_angular=self.cross_angular * factor,
             kernel_panels=self.kernel_panels * factor,
             kernel_panel_order=self.kernel_panel_order,
-            mc_samples=self.mc_samples * factor,
-            mc_seed=self.mc_seed,
         )
 
 

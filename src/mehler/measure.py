@@ -1,8 +1,11 @@
 """The gaussian measure, ball averages, L^p norms, and the maximal function.
 
 The measure is gamma_d(dx) = pi^(-d/2) exp(-|x|^2) dx.  Balls are closed;
-ball integrals are deterministic for d <= 3 (error function in d = 1, tensor
-Gauss-Legendre masked by the ball in d = 2, 3) and seeded Monte Carlo above.
+ball integrals are deterministic (error function in d = 1, tensor
+Gauss-Legendre masked by the ball in d = 2, 3).  The scope is d <= 3, the
+dimensions of the catalog and of `ExperimentConfig`: ball rules above it
+raise ValueError.  The semigroups of `mehler.ou` and `mehler.poisson` share
+one core there, a decay rate on Hermite chaos plus a mixture of OU times.
 
 The Hardy-Littlewood maximal operator here is the gaussian one,
 
@@ -122,6 +125,8 @@ def _ball_rule(ball: GaussianBall, cfg: QuadratureConfig) -> tuple[np.ndarray, n
     that averaging a constant is exact.
     """
     d = ball.dimension
+    if d > 3:
+        raise ValueError(f"ball rules are built for d <= 3, got d = {d}")
     c = ball.center_array()
     r = ball.radius
     gx, gw = _gl_rule(cfg.ball_nodes)
@@ -129,32 +134,24 @@ def _ball_rule(ball: GaussianBall, cfg: QuadratureConfig) -> tuple[np.ndarray, n
         pts = (c[0] + r * gx).reshape(-1, 1)
         wts = r * gw * np.exp(-pts[:, 0] ** 2) / math.sqrt(math.pi)
         return pts, wts
-    if d in (2, 3):
-        axes = [c[i] + r * gx for i in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        # coordinate-major (d, n): the returned points are a Fortran-ordered view
-        pts_t = np.stack([g.ravel() for g in grids])
-        wt = r * gw
-        for _ in range(d - 1):
-            wt = np.multiply.outer(wt, r * gw)
-        wts = wt.ravel() * np.exp(-np.sum(pts_t * pts_t, axis=0)) / math.pi ** (d / 2.0)
-        inside = np.sum((pts_t - c[:, None]) ** 2, axis=0) <= r * r
-        # compress keeps the (d, m) result C-ordered; boolean indexing would not
-        return np.compress(inside, pts_t, axis=1).T, wts[inside]
-    # d > 3: seeded Monte Carlo draw from gamma_d itself
-    rng = np.random.default_rng(cfg.mc_seed)
-    samples = rng.normal(0.0, math.sqrt(0.5), size=(cfg.mc_samples, d))
-    inside = np.sum((samples - c) ** 2, axis=1) <= r * r
-    pts = samples[inside]
-    wts = np.full(pts.shape[0], 1.0 / cfg.mc_samples)
-    return pts, wts
+    axes = [c[i] + r * gx for i in range(d)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    # coordinate-major (d, n): the returned points are a Fortran-ordered view
+    pts_t = np.stack([g.ravel() for g in grids])
+    wt = r * gw
+    for _ in range(d - 1):
+        wt = np.multiply.outer(wt, r * gw)
+    wts = wt.ravel() * np.exp(-np.sum(pts_t * pts_t, axis=0)) / math.pi ** (d / 2.0)
+    inside = np.sum((pts_t - c[:, None]) ** 2, axis=0) <= r * r
+    # compress keeps the (d, m) result C-ordered; boolean indexing would not
+    return np.compress(inside, pts_t, axis=1).T, wts[inside]
 
 
 def gaussian_ball_measure(ball: GaussianBall, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """gamma_d measure of a closed ball.
 
     d = 1 uses the error function exactly; d = 2, 3 use the masked tensor
-    Gauss-Legendre rule; d > 3 falls back to seeded Monte Carlo.
+    Gauss-Legendre rule; d > 3 raises ValueError.
     """
     if math.isinf(ball.radius):
         return 1.0
@@ -203,8 +200,6 @@ def hl_maximal(
     for r in np.sort(radii):
         ball = GaussianBall(tuple(center), float(r))
         pts, wts = _ball_rule(ball, cfg)
-        if len(pts) == 0:
-            continue  # Monte Carlo ball too small to catch samples
         vals = rep.values(pts)
         _require_finite(vals, pts, "integrand")
         # same reduction for numerator and denominator: averaging a constant

@@ -1,6 +1,15 @@
-"""The Ornstein-Uhlenbeck semigroup T_t and its maximal functions.
+"""The Ornstein-Uhlenbeck semigroup T_t, and the core it shares with P_t.
 
-Three evaluation routes are provided and cross-checked against each other:
+A `Semigroup` is two things: its decay rate on the chaos of degree
+k = |beta| (k for T_t, sqrt(k) for the Poisson-Hermite P_t), and its
+mixture t -> (times, weights) with S_t f = sum_j w_j T_{s_j} f (the atom
+((t,), (1.0,)) for T_t, the subordination pairs for P_t). The spectral
+multiplier, the values at points, the transform, the time supremum and the
+cone supremum are derived from that pair once, here, for both semigroups.
+The scope is d <= 3: cone cross-sections, like the ball rules of
+`mehler.measure`, raise ValueError above it.
+
+T_t has three evaluation routes, cross-checked against each other:
 
   kernel         gaussian quadrature of the explicit two-point kernel, with
                  the kernel exponent recomputed from the quadrature points
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -145,6 +155,70 @@ def _series_of(f) -> HermiteSeries | None:
     return None
 
 
+def _multiplied(series: HermiteSeries, factor: Callable[[int], float]) -> HermiteSeries:
+    """The series with each coefficient c_beta multiplied by factor(|beta|)."""
+    return HermiteSeries(
+        series.dimension, {beta.entries: c * factor(beta.degree) for beta, c in series.terms()}
+    )
+
+
+@dataclass(frozen=True)
+class Semigroup:
+    """S_t from its decay rate on chaos k = |beta| and its mixture of OU times.
+
+    prefix names the transforms ("T" or "P"); mixture(t) returns (times,
+    weights) with S_t f = sum_j w_j T_{s_j} f for a black-box f.
+    """
+
+    prefix: str
+    rate: Callable[[int], float]
+    mixture: Callable[[float], tuple]
+
+    def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
+        # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
+        return _multiplied(series, lambda k: 1.0 if k == 0 else math.exp(-t * self.rate(k)))
+
+    def apply_spectral(self, f, x, t: float):
+        series = _series_of(f)
+        if series is None:
+            raise TypeError("spectral route needs a Hermite series representation")
+        t = float(t)
+        if t < 0.0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        return self.spectral(series, t).evaluate(x)
+
+    def values(
+        self, f: FunctionRep, points: np.ndarray, t: float, cfg: QuadratureConfig
+    ) -> np.ndarray:
+        """S_t f at each row of points: spectral for series, else the OU-time mixture."""
+        series = _series_of(f)
+        if series is not None:
+            return np.atleast_1d(np.asarray(self.spectral(series, t).evaluate(points)))
+        times, weights = self.mixture(t)
+        return _mixture_values(f, points, times, weights, cfg)
+
+    def transform(self, f, t: float, cfg: QuadratureConfig) -> FunctionRep:
+        """S_t f as a function of x: series stay series, else pointwise quadrature."""
+        f = as_function(f)
+        t = float(t)
+        name = f"{self.prefix}_{t}[{f.name}]"
+        series = _series_of(f)
+        if series is not None:
+            if t < 0.0:
+                raise ValueError(f"time must be nonnegative, got {t}")
+            return SeriesFunction(self.spectral(series, t), name=name)
+        if not t > 0.0:
+            raise ValueError(f"time must be positive, got {t}")
+
+        def evaluator(pts: np.ndarray) -> np.ndarray:
+            return self.values(f, pts, t, cfg)
+
+        return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=name)
+
+
+OU = Semigroup("T", lambda k: k, lambda t: ((t,), (1.0,)))
+
+
 def ou_apply_kernel(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Quadrature of the explicit kernel against f; t > 0 (t = inf allowed).
 
@@ -180,23 +254,9 @@ def ou_apply_change_of_var(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFI
     return float(_mixture_values(f, xa[None, :], (t,), (1.0,), cfg)[0])
 
 
-def _spectral_series(series: HermiteSeries, t: float) -> HermiteSeries:
-    coeffs = {}
-    for beta, c in series.terms():
-        factor = 1.0 if beta.degree == 0 else math.exp(-t * beta.degree)
-        coeffs[beta.entries] = c * factor
-    return HermiteSeries(series.dimension, coeffs)
-
-
 def ou_apply_spectral(f, x, t: float):
     """Termwise e^{-t|beta|} decay on a Hermite series; exact, t >= 0."""
-    series = _series_of(f)
-    if series is None:
-        raise TypeError("spectral route needs a Hermite series representation")
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return _spectral_series(series, t).evaluate(x)
+    return OU.apply_spectral(f, x, t)
 
 
 def ou_apply(
@@ -234,20 +294,7 @@ def ou_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Functio
     Series representations stay series (termwise decay); pointwise ones
     become pointwise functions backed by the substitution quadrature.
     """
-    f = as_function(f)
-    t = float(t)
-    series = _series_of(f)
-    if series is not None:
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return SeriesFunction(_spectral_series(series, t), name=f"T_{t}[{f.name}]")
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return _mixture_values(f, pts, (t,), (1.0,), cfg)
-
-    return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=f"T_{t}[{f.name}]")
+    return OU.transform(f, t, cfg)
 
 
 def _cross_fractions(count: int) -> tuple[float, ...]:
@@ -262,23 +309,20 @@ def _cross_fractions(count: int) -> tuple[float, ...]:
 
 
 def _directions(dimension: int, count: int) -> np.ndarray:
-    """Deterministic unit directions: signs in d=1, a circle in d=2, a spiral sphere above."""
+    """Deterministic unit directions: signs in d=1, a circle in d=2, a spiral sphere in d=3."""
     if dimension == 1:
         return np.array([[1.0], [-1.0]])
     if dimension == 2:
         ang = 2.0 * math.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if dimension != 3:
+        raise ValueError(f"cone cross-sections are built for d <= 3, got d = {dimension}")
     m = max(count, 4)
     k = np.arange(m, dtype=float) + 0.5
     phi = math.pi * (1.0 + math.sqrt(5.0)) * k
     z = 1.0 - 2.0 * k / m
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    base = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    if dimension == 3:
-        return base
-    out = np.zeros((m, dimension))
-    out[:, :3] = base
-    return out
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
 def _section_max(best, values, arg_at):
@@ -295,6 +339,27 @@ def _section_max(best, values, arg_at):
     return best
 
 
+def _positive_times(times) -> np.ndarray:
+    ts = np.sort(np.asarray(times, dtype=float))
+    if ts.size == 0 or not np.all(ts > 0.0):
+        raise ValueError("times must be positive")
+    return ts
+
+
+def _time_maximal(
+    sg: Semigroup, f, x, cfg: QuadratureConfig, times, include_limit: bool
+) -> MaximalEstimate:
+    """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
+    f = as_function(f)
+    xa = _single_point(x, f.dimension)
+    ts = list(cfg.time_grid.values() if times is None else _positive_times(times))
+    if include_limit:
+        ts.append(math.inf)
+    vals = [sg.values(f, xa[None, :], float(t), cfg)[0] for t in ts]
+    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
+    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
+
+
 def ou_maximal(
     f,
     x,
@@ -303,20 +368,7 @@ def ou_maximal(
     include_limit: bool = True,
 ) -> MaximalEstimate:
     """sup_t |T_t f(x)| over a log time grid, with the t = inf mean appended."""
-    f = as_function(f)
-    xa = _single_point(x, f.dimension)
-    if times is None:
-        ts = cfg.time_grid.values()
-    else:
-        ts = np.sort(np.asarray(times, dtype=float))
-        if ts.size == 0 or not np.all(ts > 0.0):
-            raise ValueError("times must be positive")
-    ts = list(ts)
-    if include_limit:
-        ts.append(math.inf)
-    vals = [ou_apply(f, xa, float(t), "auto", cfg) for t in ts]
-    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
-    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
+    return _time_maximal(OU, f, x, cfg, times, include_limit)
 
 
 def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:
@@ -328,41 +380,31 @@ def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:
     return np.geomspace(lo, hi, cfg.time_grid.count)
 
 
-def nontangential_maximal(
-    f,
-    x,
-    kind: str = "parabolic-gaussian",
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    times=None,
-    fractions=None,
+def _cone_maximal(
+    sg: Semigroup, f, x, kind: str, cfg: QuadratureConfig, times, fractions
 ) -> MaximalEstimate:
-    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x.
+    """sup |S_t f(y)| over (y, t) inside the cone of the given kind at apex x.
 
     The grid is the product of a log time ladder honoring the cone's time
     window with, at each time, rings of points at fixed fractions of the
     aperture. The achieving (y, t) pair is returned as the argmax.
     """
-    if kind not in _NONTANGENTIAL_KINDS:
-        raise ValueError(f"kind must be one of {_NONTANGENTIAL_KINDS}, got {kind!r}")
     f = as_function(f)
     xa = _single_point(x, f.dimension)
     spec = ConeSpec(tuple(float(c) for c in xa), kind)
     if times is None:
         ts = _cone_times(spec, cfg)
     else:
-        ts = np.sort(np.asarray(times, dtype=float))
-        if ts.size == 0 or not np.all(ts > 0.0):
-            raise ValueError("times must be positive")
+        ts = _positive_times(times)
         if not np.all(ts < spec.time_cap):
             raise ValueError("times must sit below the cone's time cap")
     fracs = _cross_fractions(cfg.cross_radial) if fractions is None else tuple(fractions)
     if any(not 0.0 <= fr < 1.0 for fr in fracs):
         raise ValueError("fractions must lie in [0, 1)")
     dirs = _directions(f.dimension, cfg.cross_angular)
-    series = _series_of(f)
     best = (-math.inf, None)
     cells = 0
-    for t in np.sort(ts):
+    for t in ts:
         t = float(t)
         a = spec.aperture(t)
         offsets = [np.zeros(f.dimension)]
@@ -375,13 +417,24 @@ def nontangential_maximal(
         # lexicographic point order fixes the winner among equal values
         order = np.lexsort(pts.T[::-1])
         pts = pts[order]
-        if series is not None:
-            vals = np.atleast_1d(np.asarray(_spectral_series(series, t).evaluate(pts)))
-        else:
-            vals = _mixture_values(f, pts, (t,), (1.0,), cfg)
+        vals = sg.values(f, pts, t, cfg)
         cells += pts.shape[0]
         best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
     return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
+
+
+def nontangential_maximal(
+    f,
+    x,
+    kind: str = "parabolic-gaussian",
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    times=None,
+    fractions=None,
+) -> MaximalEstimate:
+    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see _cone_maximal."""
+    if kind not in _NONTANGENTIAL_KINDS:
+        raise ValueError(f"kind must be one of {_NONTANGENTIAL_KINDS}, got {kind!r}")
+    return _cone_maximal(OU, f, x, kind, cfg, times, fractions)
 
 
 def maximal_bound_report(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:

@@ -5,6 +5,12 @@ P_t is the subordinated Ornstein-Uhlenbeck semigroup,
     P_t f(x) = pi^{-1/2} * integral_0^inf u^{-1/2} e^{-u} T_{t^2/4u} f(x) du,
 
 equivalently termwise decay e^{-t sqrt(|beta|)} on a Hermite expansion.
+So P_t is the `mehler.ou.Semigroup` with rate sqrt(k) and mixture the
+subordination pairs (t^2/4u_j, omega_j); its spectral multiplier, values,
+transform, time supremum and cone supremum (the "gaussian" cone) are the
+shared ones of `mehler.ou`, for d <= 3. This module keeps what is
+Poisson's own: the subordination rules and the kernel route.
+
 Three routes are provided:
 
   subordination  quadrature of the u-integral after u = v^2 (default), or a
@@ -31,24 +37,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import ConeSpec
-from .hermite import (
-    DEFAULT_CONFIG,
-    FunctionRep,
-    HermiteSeries,
-    PointwiseFunction,
-    QuadratureConfig,
-    SeriesFunction,
-    as_function,
-)
+from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig, as_function
 from .measure import MaximalEstimate, _gl_rule
 from .ou import (
-    _cross_fractions,
-    _directions,
+    Semigroup,
+    _cone_maximal,
     _mixture_values,
-    _section_max,
+    _multiplied,
     _series_of,
     _single_point,
+    _time_maximal,
 )
 
 SUBORDINATION_SCHEMES = ("square", "split")
@@ -145,30 +143,16 @@ def bochner_identity_error(lam: float, quad: SubordinationQuadrature = DEFAULT_S
     return abs(val - math.exp(-lam))
 
 
-def _poisson_spectral_series(series: HermiteSeries, t: float) -> HermiteSeries:
-    coeffs = {}
-    for beta, c in series.terms():
-        factor = 1.0 if beta.degree == 0 else math.exp(-t * math.sqrt(beta.degree))
-        coeffs[beta.entries] = c * factor
-    return HermiteSeries(series.dimension, coeffs)
+def _poisson(quad: SubordinationQuadrature = DEFAULT_SUBORDINATION) -> Semigroup:
+    """P_t: rate sqrt(k), mixture (t^2/4u_j, omega_j), and the atom at t = inf."""
 
+    def mixture(t: float):
+        if math.isinf(t):
+            return (math.inf,), (1.0,)
+        u, omega = subordination_rule(quad)
+        return t * t / (4.0 * u), omega
 
-def _poisson_values(
-    f: FunctionRep,
-    points: np.ndarray,
-    t: float,
-    cfg: QuadratureConfig,
-    quad: SubordinationQuadrature,
-) -> np.ndarray:
-    """P_t f at each row of points, by the route suited to the representation."""
-    series = _series_of(f)
-    if series is not None:
-        out = _poisson_spectral_series(series, t).evaluate(points)
-        return np.atleast_1d(np.asarray(out, dtype=float))
-    if math.isinf(t):
-        return _mixture_values(f, points, (math.inf,), (1.0,), cfg)
-    u, omega = subordination_rule(quad)
-    return _mixture_values(f, points, t * t / (4.0 * u), omega, cfg)
+    return Semigroup("P", math.sqrt, mixture)
 
 
 def poisson_apply_subordination(
@@ -191,15 +175,12 @@ def poisson_apply_subordination(
     series = _series_of(f)
     if series is not None and not math.isinf(t):
         u, omega = subordination_rule(quad)
-        total = 0.0
-        for beta, c in series.terms():
-            if beta.degree == 0:
-                factor = float(np.sum(omega))
-            else:
-                factor = float(np.sum(omega * np.exp(-(t * t * beta.degree) / (4.0 * u))))
-            total += c * factor * HermiteSeries(series.dimension, {beta.entries: 1.0}).evaluate(xa)
-        return float(total)
-    return float(_poisson_values(f, xa[None, :], t, cfg, quad)[0])
+
+        def factor(k: int) -> float:
+            return float(np.sum(omega * np.exp(-(t * t * k) / (4.0 * u))))
+
+        return float(_multiplied(series, factor).evaluate(xa))
+    return float(_poisson(quad).values(f, xa[None, :], t, cfg)[0])
 
 
 @lru_cache(maxsize=64)
@@ -243,13 +224,7 @@ def poisson_apply_kernel(
 
 def poisson_apply_spectral(f, x, t: float):
     """Termwise e^{-t sqrt(|beta|)} decay on a Hermite series; t >= 0."""
-    series = _series_of(f)
-    if series is None:
-        raise TypeError("spectral route needs a Hermite series representation")
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return _poisson_spectral_series(series, t).evaluate(x)
+    return _poisson().apply_spectral(f, x, t)
 
 
 def poisson_apply(
@@ -282,20 +257,7 @@ def poisson_transform(
     quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
 ) -> FunctionRep:
     """P_t f as a function of x; series stay series, else pointwise quadrature."""
-    f = as_function(f)
-    t = float(t)
-    series = _series_of(f)
-    if series is not None:
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return SeriesFunction(_poisson_spectral_series(series, t), name=f"P_{t}[{f.name}]")
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        return _poisson_values(f, pts, t, cfg, quad)
-
-    return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=f"P_{t}[{f.name}]")
+    return _poisson(quad).transform(f, t, cfg)
 
 
 def poisson_maximal(
@@ -307,20 +269,7 @@ def poisson_maximal(
     quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
 ) -> MaximalEstimate:
     """sup_t |P_t f(x)| over a log time grid, with the t = inf mean appended."""
-    f = as_function(f)
-    xa = _single_point(x, f.dimension)
-    if times is None:
-        ts = cfg.time_grid.values()
-    else:
-        ts = np.sort(np.asarray(times, dtype=float))
-        if ts.size == 0 or not np.all(ts > 0.0):
-            raise ValueError("times must be positive")
-    ts = list(ts)
-    if include_limit:
-        ts.append(math.inf)
-    vals = [poisson_apply(f, xa, float(t), "auto", cfg, quad) for t in ts]
-    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
-    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
+    return _time_maximal(_poisson(quad), f, x, cfg, times, include_limit)
 
 
 def poisson_nontangential_maximal(
@@ -337,34 +286,4 @@ def poisson_nontangential_maximal(
     aperture-fraction rings, ties resolved toward small t then lexicographic
     y, with the achieving (y, t) pair returned.
     """
-    f = as_function(f)
-    xa = _single_point(x, f.dimension)
-    spec = ConeSpec(tuple(float(c) for c in xa), "gaussian")
-    if times is None:
-        ts = cfg.time_grid.values()
-    else:
-        ts = np.sort(np.asarray(times, dtype=float))
-        if ts.size == 0 or not np.all(ts > 0.0):
-            raise ValueError("times must be positive")
-    fracs = _cross_fractions(cfg.cross_radial) if fractions is None else tuple(fractions)
-    if any(not 0.0 <= fr < 1.0 for fr in fracs):
-        raise ValueError("fractions must lie in [0, 1)")
-    dirs = _directions(f.dimension, cfg.cross_angular)
-    best = (-math.inf, None)
-    cells = 0
-    for t in np.sort(ts):
-        t = float(t)
-        a = spec.aperture(t)
-        offsets = [np.zeros(f.dimension)]
-        for fr in fracs:
-            if fr == 0.0:
-                continue
-            for u in dirs:
-                offsets.append(fr * a * u)
-        pts = xa[None, :] + np.asarray(offsets)
-        order = np.lexsort(pts.T[::-1])
-        pts = pts[order]
-        vals = _poisson_values(f, pts, t, cfg, quad)
-        cells += pts.shape[0]
-        best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
-    return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
+    return _cone_maximal(_poisson(quad), f, x, "gaussian", cfg, times, fractions)

@@ -355,8 +355,6 @@ def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(gh_nodes=1)
     with pytest.raises(ValueError):
-        QuadratureConfig(improper_nodes=8)
-    with pytest.raises(ValueError):
         LogGrid(1, 1e-3, 1.0)
     with pytest.raises(ValueError):
         LogGrid(8, 2.0, 1.0)

@@ -220,3 +220,22 @@ def test_maximal_estimate_validation():
         MaximalEstimate(value=-1.0, argmax=0.5, grid_size=4)
     with pytest.raises(ValueError):
         MaximalEstimate(value=1.0, argmax=0.5, grid_size=0)
+
+
+# ---------------------------------------------------------------------------
+# scope: d <= 3
+# ---------------------------------------------------------------------------
+
+
+def test_d4_raises_before_any_quadrature():
+    from mehler.ou import _directions
+
+    calls = []
+    f = PointwiseFunction(4, lambda p: calls.append(p.shape) or np.ones(p.shape[0]))
+    with pytest.raises(ValueError, match="d <= 3"):
+        hl_maximal(f, np.zeros(4), CFG)
+    with pytest.raises(ValueError, match="d <= 3"):
+        gaussian_ball_measure(GaussianBall((0.0,) * 4, 1.0), CFG)
+    with pytest.raises(ValueError, match="d <= 3"):
+        _directions(4, CFG.cross_angular)
+    assert calls == []

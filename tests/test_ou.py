@@ -44,7 +44,13 @@ from mehler.ou import (
     ou_transform,
 )
 from mehler.measure import gaussian_norm, hl_maximal
-from mehler.poisson import poisson_apply, poisson_apply_kernel
+from mehler.poisson import (
+    poisson_apply,
+    poisson_apply_kernel,
+    poisson_maximal,
+    poisson_nontangential_maximal,
+    poisson_transform,
+)
 
 CFG = QuadratureConfig()
 
@@ -464,3 +470,69 @@ def test_cone_argmax_of_a_constant_is_the_first_cell(dimension):
     assert est.value == 1.0
     assert est.argmax == (min(cells), 0.01)
     assert ou_maximal(one, apex, CFG, times).argmax == 0.01
+
+
+# ---------------------------------------------------------------------------
+# the suprema and transforms shared by T_t and P_t
+# ---------------------------------------------------------------------------
+
+# the four suprema, each at apex 0.5, where the truncated cone's cap is 1/4
+SUPREMA = {
+    "ou_maximal": lambda f, **kw: ou_maximal(f, 0.5, CFG, **kw),
+    "poisson_maximal": lambda f, **kw: poisson_maximal(f, 0.5, CFG, **kw),
+    "nontangential_maximal": lambda f, **kw: nontangential_maximal(
+        f, 0.5, "truncated-parabolic", CFG, **kw
+    ),
+    "poisson_nontangential_maximal": lambda f, **kw: poisson_nontangential_maximal(
+        f, 0.5, CFG, **kw
+    ),
+}
+CONE_SUPREMA = ("nontangential_maximal", "poisson_nontangential_maximal")
+
+
+@pytest.mark.parametrize("name", sorted(SUPREMA))
+@pytest.mark.parametrize("f", [H2, bump()], ids=["series", "pointwise"])
+def test_suprema_reject_bad_time_lists(name, f):
+    sup = SUPREMA[name]
+    assert sup(f, times=(0.2, 0.1)).value > 0.0
+    for times in ((), (0.1, 0.0), (-0.1,), (0.1, -math.inf)):
+        with pytest.raises(ValueError, match="positive"):
+            sup(f, times=times)
+
+
+@pytest.mark.parametrize("name", CONE_SUPREMA)
+def test_cone_suprema_reject_fractions_outside_the_unit_interval(name):
+    sup = SUPREMA[name]
+    assert sup(H2, times=(0.1,), fractions=(0.0, 0.99)).grid_size > 1
+    for fractions in ((0.0, 1.0), (-0.1, 0.5), (1.5,)):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            sup(H2, times=(0.1,), fractions=fractions)
+
+
+@pytest.mark.parametrize(
+    "name, times",
+    [
+        ("nontangential_maximal", (0.1, 0.25)),
+        ("nontangential_maximal", (0.3,)),
+        # the gaussian cone's cap is +inf, so t = inf itself is outside it
+        ("poisson_nontangential_maximal", (0.1, math.inf)),
+    ],
+)
+def test_cone_suprema_reject_times_at_or_above_the_cap(name, times):
+    with pytest.raises(ValueError, match="time cap"):
+        SUPREMA[name](H2, times=times)
+
+
+def test_transform_names_carry_the_semigroup_letter():
+    # perfbench's tracer tells a transform from a black-box f by this prefix
+    for f in (H2, bump()):
+        assert ou_transform(f, 0.5, CFG).name.startswith("T_0.5[")
+        assert poisson_transform(f, 0.5, CFG).name.startswith("P_0.5[")
+    assert ou_transform(bump(), 0.5, CFG).name == "T_0.5[bump]"
+    assert poisson_transform(bump(), 0.5, CFG).name == "P_0.5[bump]"
+
+
+def test_cross_sections_stop_at_dimension_three():
+    assert ou_module._directions(3, CFG.cross_angular).shape == (8, 3)
+    with pytest.raises(ValueError, match="d <= 3"):
+        ou_module._directions(4, CFG.cross_angular)

@@ -24,6 +24,15 @@ COMMANDS = {
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
+    "maximal-ou-truncated-bump-d2.json": ["maximal", "--function", "bump", "--dim", "2",
+                                          "--x", "0.3,0.2", "--cone", "truncated-parabolic"],
+    "maximal-poisson-gaussian-ball-d1.json": ["maximal", "--semigroup", "poisson", "--cone",
+                                              "gaussian", "--function", "ball", "--x", "0.5"],
+    "maximal-poisson-gaussian-h_2-d1.json": ["maximal", "--semigroup", "poisson", "--cone",
+                                             "gaussian", "--function", "h_2", "--x", "0.5"],
+    "maximal-ou-time-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5"],
+    "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
+                                          "--function", "ball", "--x", "0.5"],
 }
 
 
