@@ -338,13 +338,6 @@ class HermiteSeries:
         vals = _series_values(self, pts)
         return float(vals[0]) if single else vals
 
-    def scaled(self, factors: Mapping) -> "HermiteSeries":
-        """New series with each coefficient multiplied by factors[beta] (default 1)."""
-        return HermiteSeries(
-            self.dimension,
-            {b: c * float(factors.get(b, 1.0)) for b, c in self.coefficients.items()},
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{b.entries}: {c:.6g}" for b, c in self.terms())
         return f"HermiteSeries(d={self.dimension}, {{{inner}}})"

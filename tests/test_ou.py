@@ -32,6 +32,7 @@ from mehler import (
 from mehler.cones import ConeSpec
 from mehler.ou import (
     OUEvaluation,
+    _folded_rows,
     _mixture_values,
     maximal_bound_report,
     nontangential_maximal,
@@ -45,6 +46,7 @@ from mehler.ou import (
 )
 from mehler.measure import gaussian_norm, hl_maximal
 from mehler.poisson import (
+    _poisson,
     poisson_apply,
     poisson_apply_kernel,
     poisson_maximal,
@@ -396,6 +398,145 @@ with open("/proc/self/status") as status:
     )
     peak_mb = int(done.stdout.split()[-1]) / 1024.0
     assert peak_mb < 300.0
+
+
+# ---------------------------------------------------------------------------
+# folded mixture rows
+# ---------------------------------------------------------------------------
+
+
+def counted(f):
+    # f, plus the number of points of every block it is handed
+    sizes = []
+
+    def evaluator(p):
+        sizes.append(p.shape[0])
+        return f.values(p)
+
+    return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=f.name), sizes
+
+
+def row_by_row(f, points, times, weights, cfg) -> np.ndarray:
+    # the unfolded mixture: one full rule per (time, point), summed in time order
+    nodes, wts = gauss_hermite_grid(f.dimension, cfg.gh_nodes)
+    out = np.zeros(points.shape[0])
+    for i, x in enumerate(points):
+        for t, w in zip(times, weights):
+            r, s = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
+            out[i] += w * float(f.values(r * x + s * nodes) @ wts)
+    return out
+
+
+def far_points(dimension: int) -> np.ndarray:
+    # one point inside the unit cube, then one at |x| = 4 with mixed signs
+    far = np.array([1.0, -1.0, 1.0][:dimension])
+    inner = np.random.default_rng(dimension).uniform(-1.0, 1.0, size=dimension)
+    return np.stack([inner, 4.0 * far / np.linalg.norm(far)])
+
+
+def saturation_floor(n: int) -> float:
+    # a quarter ulp of the smallest |node| of the 1-d rule
+    return float(np.spacing(np.min(np.abs(gauss_hermite_grid(1, n)[0]))) / 4.0)
+
+
+POISSON_TIMES = [1e-3, 0.1, 0.95, 4.0]
+
+
+@pytest.mark.parametrize("name", ["bump", "ball", "spike"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension):
+    # d = 3 takes a 16-node rule, split into node slices by a small budget,
+    # so the unfolded reference stays cheap
+    cfg = CFG if dimension < 3 else QuadratureConfig(gh_nodes=16)
+    if dimension == 3:
+        monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 1024)
+    f, sizes = counted(catalog_entry(name, dimension).rep)
+    points = far_points(dimension)
+    n_nodes = cfg.gh_nodes ** dimension
+    for t in POISSON_TIMES:
+        times, weights = _poisson().mixture(t)
+        sizes.clear()
+        folded = _mixture_values(f, points, times, weights, cfg)
+        assert 0 < sum(sizes) < len(times) * points.shape[0] * n_nodes, t
+        reference = row_by_row(f, points, times, weights, cfg)
+        np.testing.assert_allclose(folded, reference, rtol=1e-15, atol=0.0, err_msg=str(t))
+
+
+def test_equal_rows_fold_at_the_first_position():
+    times = (0.5, 800.0, 0.7, math.inf, 0.5)
+    weights = (0.1, 0.2, 0.3, 0.4, 0.5)
+    r, s, w = _folded_rows(np.zeros((1, 2)), times, weights, CFG.gh_nodes)
+    assert r.tolist() == [math.exp(-0.5), 0.0, math.exp(-0.7)]
+    assert s.tolist() == [math.sqrt(-math.expm1(-1.0)), 1.0, math.sqrt(-math.expm1(-1.4))]
+    assert w.tolist() == [0.1 + 0.5, 0.2 + 0.4, 0.3]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_an_odd_rule_folds_only_the_rows_at_r_zero(dimension):
+    # 63 nodes put one at u = 0, where no shift, however small, is lost
+    cfg = QuadratureConfig(gh_nodes=63)
+    f, sizes = counted(bump(dimension))
+    points = np.vstack([far_points(dimension), np.zeros((1, dimension))])
+    for t in POISSON_TIMES:
+        times, weights = _poisson().mixture(t)
+        pairs = [ou_module._decay_pair(float(u)) for u in times]
+        kept = [pair for pair in pairs if pair[0] != 0.0]
+        assert len(kept) < len(pairs) and any(pair[1] == 1.0 for pair in kept), t
+        # the rows at r == 0.0 become one, at the first one's position
+        expected = list(dict.fromkeys(pairs))
+        assert len(expected) == len(kept) + 1, t
+        r, s, _ = _folded_rows(points, times, weights, cfg.gh_nodes)
+        assert list(zip(r.tolist(), s.tolist())) == expected, t
+        sizes.clear()
+        _mixture_values(f, points, times, weights, cfg)
+        assert sum(sizes) == len(expected) * points.shape[0] * 63**dimension, t
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cut_rows_shift_no_node(n, dimension):
+    # every row the saturation cut sends to (0.0, 1.0) builds, exactly as
+    # _mixture_values does, a block bitwise equal to the bare nodes
+    nodes = gauss_hermite_grid(dimension, n)[0].T
+    points = far_points(dimension)
+    cut = 0
+    for t in POISSON_TIMES:
+        times, weights = _poisson().mixture(t)
+        r, s, _ = _folded_rows(points, times, weights, n)
+        rows = set(zip(r.tolist(), s.tolist()))
+        for u in times:
+            rr, ss = ou_module._decay_pair(float(u))
+            if rr == 0.0 or (rr, ss) in rows:
+                continue
+            assert ss == 1.0
+            cut += 1
+            shifted = (rr * points).T[:, :, None] + ss * nodes[:, None, :]
+            assert np.array_equal(shifted, np.broadcast_to(nodes[:, None, :], shifted.shape))
+    assert cut > 0
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_a_row_just_above_the_saturation_floor_keeps_its_points(n):
+    # with s == 1.0, choose x with r * x on either side of the floor
+    cfg = QuadratureConfig(gh_nodes=n)
+    t = 30.0
+    r, s = ou_module._decay_pair(t)
+    assert s == 1.0
+    floor = saturation_floor(n)
+    x = floor / r
+    while r * x >= floor:
+        x = np.nextafter(x, 0.0)
+    below = np.array([[x]])
+    above = np.array([[np.nextafter(x, math.inf)]])
+    assert r * above[0, 0] >= floor
+    f, sizes = counted(bump(1))
+    times, weights = (t, math.inf), (0.5, 0.5)
+    for points, rows in ((below, 1), (above, 2)):
+        sizes.clear()
+        value = _mixture_values(f, points, times, weights, cfg)
+        assert sum(sizes) == rows * n
+        reference = row_by_row(f, points, times, weights, cfg)
+        assert value[0] == pytest.approx(reference[0], rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

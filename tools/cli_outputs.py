@@ -33,6 +33,15 @@ COMMANDS = {
     "maximal-ou-time-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
                                           "--function", "ball", "--x", "0.5"],
+    "poisson-apply-subordination-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
+                                                     "--dim", "2", "--x", "0.3,0.2", "--t", "0.1",
+                                                     "--route", "subordination"],
+    "poisson-apply-subordination-bump-d2-t4.txt": ["poisson-apply", "--function", "bump",
+                                                   "--dim", "2", "--x", "0.3,0.2", "--t", "4",
+                                                   "--route", "subordination"],
+    "poisson-apply-kernel-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
+                                              "--dim", "2", "--x", "0.3,0.2", "--t", "0.1",
+                                              "--route", "kernel"],
 }
 
 
