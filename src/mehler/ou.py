@@ -31,20 +31,8 @@ accumulator per point. Its working memory is therefore a block, under
 GH grid (8.4 MB in d = 3 at 64 nodes); it does not grow with the number of
 points or times.
 
-Before blocking, `_mixture_values` folds the times whose blocks are bitwise
-equal, so each distinct integral is computed once (see _folded_rows):
-times with equal (r, s) = (e^{-t}, sqrt(1 - e^{-2t})) become one row with
-the summed weight, at the first one's position, and a time with s == 1.0
-joins the t = inf row (0.0, 1.0) when r * max|x_i| over the call's points
-is below a quarter ulp of the smallest |node| of the 1-d rule. The float
-gap on either side of any |u| >= that node is at least half its ulp, so
-such a shift is lost in r x_i + u and the block is the bare nodes. At 64
-nodes the threshold is 6.9e-18, so every t > 40.9 folds for |x_i| <= 4. An
-odd rule has a node at 0, where no shift is lost, so only rows with
-r == 0.0 fold. The fold is exact up to the order of the sum, adds no
-option, and reaches every route, transform and supremum built on the
-evaluator; for |x_i| <= 4 it cuts the 200 subordination times of P_t,
-t in [1e-3, 4], to 146 down to 56 rows.
+Before blocking, `_mixture_values` folds the times whose blocks are equal
+(see _folded_rows), so each distinct integral is computed once.
 
 Blocks are built coordinate-major: a C-contiguous (d, n) buffer whose
 transpose, a Fortran-ordered (n, d) view, is what f receives, so a row
@@ -75,7 +63,6 @@ from .hermite import (
     PointwiseFunction,
     QuadratureConfig,
     SeriesFunction,
-    _gh_rule_1d,
     _require_finite,
     as_function,
     as_points,
@@ -125,28 +112,22 @@ def _single_point(x, dimension: int) -> np.ndarray:
 _BLOCK_POINTS = 1 << 14
 
 
-def _folded_rows(points: np.ndarray, times, weights, n: int):
-    """(r, s, w) of the mixture's rows, each distinct shifted block once.
+def _folded_rows(times, weights):
+    """(r, s, w) of the mixture's rows, each distinct (r, s) pair once.
 
-    Rows with equal (r, s) become one row whose weight is the sum of theirs,
-    at the first row's position. A row with s == 1.0 and r * max|x| below a
-    quarter ulp of the smallest |node| of the n-node rule is first sent to
-    (0.0, 1.0), the t = inf row: its block is bitwise the bare nodes.
+    Rows with equal (r, s) = (e^{-t}, sqrt(1 - e^{-2t})) build bitwise-equal
+    blocks at every point, so they become one row whose weight is the sum of
+    theirs, at the first row's position. Every t above about 745 gives
+    (0.0, 1.0), the t = inf row (the gamma-mean). The fold is exact up to
+    the order of the sum: the row's integral is multiplied by the summed
+    weight instead of being added once per time. It depends on the times
+    alone, so a point's value and the work done do not depend on the other
+    points of the call.
     """
-    xi, _ = _gh_rule_1d(n)
-    u_min = float(np.min(np.abs(xi)))
-    # the float gap on either side of any |u| >= u_min is at least
-    # ulp(u_min) / 2 (the gap below a power of two is half its ulp), so
-    # |c| < ulp(u_min) / 4 gives fl(c + u) == u; |fl(r x_i)| <= fl(r x_max)
-    # because rounding is monotone. An odd rule has u = 0 and no such c.
-    floor = float(np.spacing(u_min)) / 4.0 if u_min > 0.0 else 0.0
-    x_max = float(np.max(np.abs(points))) if points.size else 0.0
     folded: dict[tuple[float, float], float] = {}
     for t, w in zip(times, weights):
-        r, s = _decay_pair(float(t))
-        if s == 1.0 and r * x_max < floor:
-            r = 0.0
-        folded[r, s] = folded.get((r, s), 0.0) + float(w)
+        pair = _decay_pair(float(t))
+        folded[pair] = folded.get(pair, 0.0) + float(w)
     r = np.array([key[0] for key in folded])
     s = np.array([key[1] for key in folded])
     return r, s, np.array(list(folded.values()))
@@ -158,20 +139,15 @@ def _mixture_values(
     """sum_k w_k T_{t_k} f at each row of points, by shifted gaussian quadrature.
 
     Each (time, point) pair is a row with centre r_k x_p and scale s_k.
-    Times whose rows would build bitwise-equal blocks are folded first (see
-    _folded_rows): equal (r, s) pairs become one, and a time with s == 1.0
-    joins the t = inf row when r_k max|x| is below a quarter ulp of the
-    smallest |node|, because then fl(r_k x_i + u) == u at every node u.
-    The fold is exact up to the order of the sum: the row's value is
-    computed once and weighted by the summed weight. Rows are taken
-    time-major, so each point's terms are summed in the order of the times;
-    f is called on blocks of whole rows, or on node slices of one row when
-    a row alone exceeds _BLOCK_POINTS.
+    Times with equal (r, s) are folded first (see _folded_rows). Rows are
+    taken time-major, so each point's terms are summed in the order of the
+    times; f is called on blocks of whole rows, or on node slices of one row
+    when a row alone exceeds _BLOCK_POINTS.
     """
     d = f.dimension
     nodes, wts = gauss_hermite_grid(d, cfg.gh_nodes)
     nodes_t = nodes.T
-    r, s, w = _folded_rows(points, times, weights, cfg.gh_nodes)
+    r, s, w = _folded_rows(times, weights)
     n_points, n_nodes = points.shape[0], nodes.shape[0]
     rows_per_block = max(1, _BLOCK_POINTS // n_nodes)
     node_step = min(n_nodes, _BLOCK_POINTS)

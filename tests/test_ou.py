@@ -434,11 +434,6 @@ def far_points(dimension: int) -> np.ndarray:
     return np.stack([inner, 4.0 * far / np.linalg.norm(far)])
 
 
-def saturation_floor(n: int) -> float:
-    # a quarter ulp of the smallest |node| of the 1-d rule
-    return float(np.spacing(np.min(np.abs(gauss_hermite_grid(1, n)[0]))) / 4.0)
-
-
 POISSON_TIMES = [1e-3, 0.1, 0.95, 4.0]
 
 
@@ -465,16 +460,18 @@ def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension)
 def test_equal_rows_fold_at_the_first_position():
     times = (0.5, 800.0, 0.7, math.inf, 0.5)
     weights = (0.1, 0.2, 0.3, 0.4, 0.5)
-    r, s, w = _folded_rows(np.zeros((1, 2)), times, weights, CFG.gh_nodes)
+    r, s, w = _folded_rows(times, weights)
     assert r.tolist() == [math.exp(-0.5), 0.0, math.exp(-0.7)]
     assert s.tolist() == [math.sqrt(-math.expm1(-1.0)), 1.0, math.sqrt(-math.expm1(-1.4))]
     assert w.tolist() == [0.1 + 0.5, 0.2 + 0.4, 0.3]
 
 
+@pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("dimension", [1, 2])
-def test_an_odd_rule_folds_only_the_rows_at_r_zero(dimension):
-    # 63 nodes put one at u = 0, where no shift, however small, is lost
-    cfg = QuadratureConfig(gh_nodes=63)
+def test_only_equal_pairs_fold(n, dimension):
+    # odd and even rules alike: the Poisson rows at r == 0.0 become one, at
+    # the first one's position, and every other row keeps its own f-points
+    cfg = QuadratureConfig(gh_nodes=n)
     f, sizes = counted(bump(dimension))
     points = np.vstack([far_points(dimension), np.zeros((1, dimension))])
     for t in POISSON_TIMES:
@@ -482,61 +479,40 @@ def test_an_odd_rule_folds_only_the_rows_at_r_zero(dimension):
         pairs = [ou_module._decay_pair(float(u)) for u in times]
         kept = [pair for pair in pairs if pair[0] != 0.0]
         assert len(kept) < len(pairs) and any(pair[1] == 1.0 for pair in kept), t
-        # the rows at r == 0.0 become one, at the first one's position
         expected = list(dict.fromkeys(pairs))
         assert len(expected) == len(kept) + 1, t
-        r, s, _ = _folded_rows(points, times, weights, cfg.gh_nodes)
+        r, s, _ = _folded_rows(times, weights)
         assert list(zip(r.tolist(), s.tolist())) == expected, t
         sizes.clear()
         _mixture_values(f, points, times, weights, cfg)
-        assert sum(sizes) == len(expected) * points.shape[0] * 63**dimension, t
+        assert sum(sizes) == len(expected) * points.shape[0] * n**dimension, t
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_cut_rows_shift_no_node(n, dimension):
-    # every row the saturation cut sends to (0.0, 1.0) builds, exactly as
-    # _mixture_values does, a block bitwise equal to the bare nodes
-    nodes = gauss_hermite_grid(dimension, n)[0].T
-    points = far_points(dimension)
-    cut = 0
-    for t in POISSON_TIMES:
-        times, weights = _poisson().mixture(t)
-        r, s, _ = _folded_rows(points, times, weights, n)
-        rows = set(zip(r.tolist(), s.tolist()))
-        for u in times:
-            rr, ss = ou_module._decay_pair(float(u))
-            if rr == 0.0 or (rr, ss) in rows:
-                continue
-            assert ss == 1.0
-            cut += 1
-            shifted = (rr * points).T[:, :, None] + ss * nodes[:, None, :]
-            assert np.array_equal(shifted, np.broadcast_to(nodes[:, None, :], shifted.shape))
-    assert cut > 0
-
-
-@pytest.mark.parametrize("n", [16, 64])
-def test_a_row_just_above_the_saturation_floor_keeps_its_points(n):
-    # with s == 1.0, choose x with r * x on either side of the floor
-    cfg = QuadratureConfig(gh_nodes=n)
-    t = 30.0
+def test_a_saturated_row_with_r_above_zero_keeps_its_points():
+    # at t = 700, s == 1.0 but r = e^{-700} > 0: the row is not the t = inf row
+    t = 700.0
     r, s = ou_module._decay_pair(t)
-    assert s == 1.0
-    floor = saturation_floor(n)
-    x = floor / r
-    while r * x >= floor:
-        x = np.nextafter(x, 0.0)
-    below = np.array([[x]])
-    above = np.array([[np.nextafter(x, math.inf)]])
-    assert r * above[0, 0] >= floor
+    assert s == 1.0 and r > 0.0
     f, sizes = counted(bump(1))
     times, weights = (t, math.inf), (0.5, 0.5)
-    for points, rows in ((below, 1), (above, 2)):
-        sizes.clear()
-        value = _mixture_values(f, points, times, weights, cfg)
-        assert sum(sizes) == rows * n
-        reference = row_by_row(f, points, times, weights, cfg)
-        assert value[0] == pytest.approx(reference[0], rel=1e-15, abs=0.0)
+    points = np.array([[4.0]])
+    value = _mixture_values(f, points, times, weights, CFG)
+    assert sum(sizes) == 2 * CFG.gh_nodes
+    reference = row_by_row(f, points, times, weights, CFG)
+    assert value[0] == pytest.approx(reference[0], rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_a_point_does_not_depend_on_its_batch(dimension):
+    # the fold reads the times alone, so a point alone and beside a far
+    # point gets the same rows in the same order
+    f = catalog_entry("bump", dimension).rep
+    points = far_points(dimension)
+    for t in POISSON_TIMES:
+        times, weights = _poisson().mixture(t)
+        alone = _mixture_values(f, points[:1], times, weights, CFG)
+        batch = _mixture_values(f, points, times, weights, CFG)
+        np.testing.assert_allclose(alone[0], batch[0], rtol=1e-15, atol=0.0, err_msg=str(t))
 
 
 # ---------------------------------------------------------------------------
