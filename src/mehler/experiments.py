@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,10 @@ from .ou import (
     ou_transform,
 )
 from .poisson import (
-    DEFAULT_SUBORDINATION,
     bochner_identity_error,
     poisson_apply,
     poisson_apply_kernel,
+    poisson_apply_spectral,
     poisson_apply_subordination,
     poisson_transform,
 )
@@ -288,13 +288,13 @@ def _orthonormality_margin(dimension: int, max_degree: int, cfg: QuadratureConfi
     return float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
 
 
-def _eigenrelation_margin(dimension: int, max_degree: int, cfg: QuadratureConfig, seed: int) -> float:
+def _eigenrelation_margin(dimension: int, max_degree: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-2.5, 2.5, size=(24, dimension))
     worst = 0.0
     for beta in enumerate_multi_indices(dimension, max_degree):
         s = HermiteSeries(dimension, {beta.entries: 1.0})
-        lhs = generator_apply(s, pts, cfg)
+        lhs = generator_apply(s, pts)
         rhs = -beta.degree * s.evaluate(pts)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
@@ -331,7 +331,6 @@ def _ou_route_margin(cfg: QuadratureConfig, seed: int, dims=(1, 2)) -> float:
 
 
 def _poisson_route_margin(cfg: QuadratureConfig, seed: int, dims=(1,), times=(0.5, 2.0)) -> float:
-    from .poisson import poisson_apply_spectral
 
     worst = 0.0
     for d in dims:
@@ -470,7 +469,7 @@ def run_verify_suite(
     ortho_dims = (1, 2) if level == "fast" else (1, 2, 3)
     for d in ortho_dims:
         check(f"hermite-orthonormality-d{d}", _orthonormality_margin(d, 6, cfg), 1e-8)
-    check("hermite-eigenrelation", _eigenrelation_margin(2, 6, cfg, seed), 1e-8)
+    check("hermite-eigenrelation", _eigenrelation_margin(2, 6, seed), 1e-8)
     check("ou-markov", _markov_margin(cfg), 1e-10)
     check("ou-route-agreement", _ou_route_margin(cfg, seed), 1e-8)
     check("poisson-bochner-identity", _bochner_margin(), 1e-10)

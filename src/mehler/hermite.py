@@ -26,7 +26,6 @@ the node caches are filled once per (dimension, node-count) pair and shared.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -217,12 +216,9 @@ class QuadratureConfig:
     radius_grid     log grid of ball radii for the Hardy-Littlewood supremum.
     time_grid       log grid of semigroup times for the time suprema.
     ball_nodes      Gauss-Legendre nodes per axis for ball integrals.
-    fd_step         central finite-difference step for black-box generators.
-    coeff_prune     absolute floor below which projected coefficients are dropped.
     cross_radial    radial points per cone cross-section (clustered at the rim).
     cross_angular   angular directions per cross-section in d = 2.
     kernel_panels   panel count for the subordinated-kernel radial integral.
-    kernel_panel_order  Gauss-Legendre order inside each such panel.
 
     The subordination integral of P_t has its own rule,
     `mehler.poisson.SubordinationQuadrature`, which `refined` leaves alone.
@@ -232,26 +228,19 @@ class QuadratureConfig:
     radius_grid: LogGrid = field(default_factory=lambda: LogGrid(64, 1e-3, 8.0))
     time_grid: LogGrid = field(default_factory=lambda: LogGrid(64, 1e-4, 10.0))
     ball_nodes: int = 64
-    fd_step: float = 1e-4
-    coeff_prune: float = 1e-12
     cross_radial: int = 8
     cross_angular: int = 8
     kernel_panels: int = 40
-    kernel_panel_order: int = 12
 
     def __post_init__(self):
         if not (2 <= self.gh_nodes <= 1024):
             raise ValueError(f"gh_nodes must be in [2, 1024], got {self.gh_nodes}")
         if self.ball_nodes < 2:
             raise ValueError(f"ball_nodes must be >= 2, got {self.ball_nodes}")
-        if self.fd_step <= 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-        if self.coeff_prune < 0:
-            raise ValueError(f"coeff_prune must be >= 0, got {self.coeff_prune}")
         if self.cross_radial < 2 or self.cross_angular < 1:
             raise ValueError("cross-section grid needs >= 2 radial and >= 1 angular points")
-        if self.kernel_panels < 4 or self.kernel_panel_order < 2:
-            raise ValueError("kernel quadrature needs >= 4 panels of order >= 2")
+        if self.kernel_panels < 4:
+            raise ValueError("kernel quadrature needs >= 4 panels")
 
     def refined(self, factor: int = 2) -> "QuadratureConfig":
         """Same configuration with every grid `factor` times finer."""
@@ -260,16 +249,18 @@ class QuadratureConfig:
             radius_grid=self.radius_grid.refined(factor),
             time_grid=self.time_grid.refined(factor),
             ball_nodes=self.ball_nodes * factor,
-            fd_step=self.fd_step,
-            coeff_prune=self.coeff_prune,
             cross_radial=self.cross_radial * factor,
             cross_angular=self.cross_angular * factor,
             kernel_panels=self.kernel_panels * factor,
-            kernel_panel_order=self.kernel_panel_order,
         )
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+# central finite-difference step of generator_apply on black-box inputs
+_FD_STEP = 1e-4
+# projected coefficients at or below this magnitude are dropped
+_COEFF_PRUNE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +582,7 @@ def project_chaos(f, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteS
     """Projection J_n f onto the span of {h_beta : |beta| = n}.
 
     For black-box inputs every coefficient with |beta| = n is computed by
-    quadrature; magnitudes at or below cfg.coeff_prune are dropped so that
+    quadrature; magnitudes at or below _COEFF_PRUNE are dropped so that
     polynomial inputs of degree < n project to the empty series.
     """
     rep = as_function(f, dimension=None)
@@ -611,7 +602,7 @@ def project_chaos(f, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteS
     weighted = wts * fvals
     for b in betas:
         c = float(np.dot(weighted, _hermite_product(b, pts)))
-        if abs(c) > cfg.coeff_prune:
+        if abs(c) > _COEFF_PRUNE:
             coeffs[b] = c
     return HermiteSeries(d, coeffs)
 
@@ -630,17 +621,17 @@ def hermite_expand(f, max_degree: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     coeffs: dict[MultiIndex, float] = {}
     for b in enumerate_multi_indices(d, max_degree):
         c = float(np.dot(weighted, _hermite_product(b, pts)))
-        if abs(c) > cfg.coeff_prune:
+        if abs(c) > _COEFF_PRUNE:
             coeffs[b] = c
     return HermiteSeries(d, coeffs)
 
 
-def generator_apply(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Union[float, np.ndarray]:
+def generator_apply(f, x) -> Union[float, np.ndarray]:
     """Apply L = (1/2) Laplacian - <x, grad> to f at x.
 
     Series inputs use the exact derivative identities coordinatewise (no
     eigenvalue shortcut, so the eigenrelation is a genuine check).  Black-box
-    inputs use central differences with step cfg.fd_step, accurate to
+    inputs use central differences with step _FD_STEP, accurate to
     O(step^2).
     """
     rep = as_function(f, dimension=None)
@@ -654,7 +645,7 @@ def generator_apply(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Union[float
             out += 0.5 * _series_values(second, pts)
             out -= pts[:, axis] * _series_values(first, pts)
         return float(out[0]) if single else out
-    h = cfg.fd_step
+    h = _FD_STEP
     center = rep.values(pts)
     _require_finite(center, pts, "function value")
     out = np.zeros(pts.shape[0])

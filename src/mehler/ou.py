@@ -9,12 +9,18 @@ cone supremum are derived from that pair once, here, for both semigroups.
 The scope is d <= 3: cone cross-sections, like the ball rules of
 `mehler.measure`, raise ValueError above it.
 
-T_t has three evaluation routes, cross-checked against each other:
+T_t has three evaluation routes:
 
   kernel         gaussian quadrature of the explicit two-point kernel, with
                  the kernel exponent recomputed from the quadrature points
   change_of_var  T_t f(x) = integral of f(e^{-t}x + sqrt(1-e^{-2t})u) dgamma(u)
   spectral       termwise decay e^{-t|beta|} on a Hermite expansion
+
+The kernel route is not independent of change_of_var: it evaluates f at the
+same substituted points, and the exponent it recomputes,
+-|y - rx|^2/(1 - r^2) + |u|^2, is identically 0 because s^2 = 1 - r^2. So
+the two agree to about 3e-16; only the spectral route, on a series, is an
+independent reference for them.
 
 The t -> 0 blowup of the kernel normalization is never evaluated: both
 quadrature routes run through the substitution above, which stays
@@ -73,24 +79,6 @@ from .measure import MaximalEstimate, gaussian_norm, hl_maximal
 OU_ROUTES = ("kernel", "change_of_var", "spectral")
 
 _NONTANGENTIAL_KINDS = ("parabolic-gaussian", "truncated-parabolic")
-
-
-@dataclass(frozen=True)
-class OUEvaluation:
-    """One semigroup evaluation: where, when, by which route, and the value."""
-
-    x: tuple[float, ...]
-    t: float
-    route: str
-    value: float
-
-    def __post_init__(self):
-        if not self.t > 0.0 and self.route != "spectral":
-            raise ValueError("quadrature routes need t > 0")
-        if self.t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
-        if self.route not in OU_ROUTES:
-            raise ValueError(f"unknown route {self.route!r}")
 
 
 def _decay_pair(t: float) -> tuple[float, float]:
@@ -245,9 +233,10 @@ def ou_apply_kernel(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> f
     """Quadrature of the explicit kernel against f; t > 0 (t = inf allowed).
 
     The quadrature points come from the same substitution as the
-    change-of-variable route, but the integrand here re-derives the kernel
-    exponent from the physical points y, so the two routes exercise the
-    kernel formula independently and can be compared.
+    change-of-variable route, and the integrand re-derives the kernel
+    exponent from the physical points y. That exponent is identically 0
+    (s^2 = 1 - r^2), so this route is not an independent check of the
+    kernel formula: it equals the change-of-variable route to about 3e-16.
     """
     f = as_function(f)
     t = float(t)
@@ -295,19 +284,6 @@ def ou_apply(
     if route == "change_of_var":
         return ou_apply_change_of_var(f, x, t, cfg)
     raise ValueError(f"unknown route {route!r}; expected one of {OU_ROUTES} or 'auto'")
-
-
-def ou_evaluate(
-    f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> OUEvaluation:
-    """Like ou_apply, but returns the full evaluation record."""
-    f = as_function(f)
-    resolved = route
-    if resolved == "auto":
-        resolved = "spectral" if _series_of(f) is not None else "change_of_var"
-    value = ou_apply(f, x, t, resolved, cfg)
-    xa = _single_point(x, f.dimension)
-    return OUEvaluation(tuple(float(c) for c in xa), float(t), resolved, value)
 
 
 def ou_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> FunctionRep:

@@ -8,13 +8,13 @@ equivalently termwise decay e^{-t sqrt(|beta|)} on a Hermite expansion.
 So P_t is the `mehler.ou.Semigroup` with rate sqrt(k) and mixture the
 subordination pairs (t^2/4u_j, omega_j); its spectral multiplier, values,
 transform, time supremum and cone supremum (the "gaussian" cone) are the
-shared ones of `mehler.ou`, for d <= 3. This module keeps what is
-Poisson's own: the subordination rules and the kernel route.
+shared ones of `mehler.ou`, for d <= 3. The module constant `POISSON` is
+that semigroup, as `mehler.ou.OU` is T_t. This module keeps what is
+Poisson's own: the subordination rule and the kernel route.
 
 Three routes are provided:
 
-  subordination  quadrature of the u-integral after u = v^2 (default), or a
-                 split [0,1] u [1,U] panel scheme kept as a cross-check
+  subordination  quadrature of the u-integral after u = v^2 (default)
   kernel         the r-integral on (0,1) obtained from r = e^{-t^2/4u},
                  taken in L = -log r with panels graded toward both
                  endpoints and an analytic completion for the r -> 0 flat
@@ -49,7 +49,6 @@ from .ou import (
     _time_maximal,
 )
 
-SUBORDINATION_SCHEMES = ("square", "split")
 POISSON_ROUTES = ("subordination", "kernel", "spectral")
 
 # flat-tail cut for the kernel route: e^{-L} ~ 1e-8 beyond this, so T_L f is
@@ -57,30 +56,19 @@ POISSON_ROUTES = ("subordination", "kernel", "spectral")
 _KERNEL_L_HI = 18.42
 # essential-decay cut near r = 1: contributions with t^2/4L > this are dropped
 _KERNEL_U_CUT = 30.0
+# Gauss-Legendre order inside each kernel-route panel
+_KERNEL_PANEL_ORDER = 12
 
 
 @dataclass(frozen=True)
 class SubordinationQuadrature:
-    """Node budget and substitution choice for the Bochner u-integral."""
+    """Node budget of the square rule for the Bochner u-integral."""
 
-    scheme: str = "square"
     nodes: int = 200
-    cutoff: float = 30.0
 
     def __post_init__(self):
-        if self.scheme not in SUBORDINATION_SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of {SUBORDINATION_SCHEMES}"
-            )
         if self.nodes < 16:
             raise ValueError(f"need at least 16 nodes, got {self.nodes}")
-        if not self.cutoff > 0.0:
-            raise ValueError("cutoff must be positive")
-        tail = math.exp(-self.cutoff) / math.sqrt(self.cutoff)
-        if not tail < 1e-12:
-            raise ValueError(
-                f"cutoff {self.cutoff} leaves a truncated tail {tail:.2e} >= 1e-12"
-            )
 
 
 DEFAULT_SUBORDINATION = SubordinationQuadrature()
@@ -111,56 +99,34 @@ def _square_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, omega
 
 
-@lru_cache(maxsize=8)
-def _split_rule(nodes: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    # u-panels: geometric toward the u^{-1/2} endpoint, linear to the cutoff
-    n_geo, n_lin = 44, 12
-    order = max(4, nodes // (n_geo + n_lin))
-    edges = np.concatenate(
-        [np.geomspace(1e-22, 1.0, n_geo + 1), np.linspace(1.0, cutoff, n_lin + 1)[1:]]
-    )
-    u, w = _panel_points(edges, order)
-    omega = w * np.exp(-u) / (np.sqrt(u) * math.sqrt(math.pi))
-    u.flags.writeable = False
-    omega.flags.writeable = False
-    return u, omega
-
-
-def subordination_rule(quad: SubordinationQuadrature) -> tuple[np.ndarray, np.ndarray]:
+def subordination_rule(quadrature: SubordinationQuadrature) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes u_j and weights omega_j for the Bochner integral."""
-    if quad.scheme == "square":
-        return _square_rule(quad.nodes)
-    return _split_rule(quad.nodes, quad.cutoff)
+    return _square_rule(quadrature.nodes)
 
 
-def bochner_identity_error(lam: float, quad: SubordinationQuadrature = DEFAULT_SUBORDINATION) -> float:
+def bochner_identity_error(lam: float) -> float:
     """|quadrature of the subordination integral at decay rate lam - e^{-lam}|."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError("decay rate must be nonnegative")
-    u, omega = subordination_rule(quad)
+    u, omega = subordination_rule(DEFAULT_SUBORDINATION)
     val = float(np.sum(omega * np.exp(-(lam * lam) / (4.0 * u))))
     return abs(val - math.exp(-lam))
 
 
-def _poisson(quad: SubordinationQuadrature = DEFAULT_SUBORDINATION) -> Semigroup:
-    """P_t: rate sqrt(k), mixture (t^2/4u_j, omega_j), and the atom at t = inf."""
+def _subordinated_times(t: float):
+    """P_t's mixture (t^2/4u_j, omega_j), and the atom at t = inf."""
+    if math.isinf(t):
+        return (math.inf,), (1.0,)
+    u, omega = subordination_rule(DEFAULT_SUBORDINATION)
+    return t * t / (4.0 * u), omega
 
-    def mixture(t: float):
-        if math.isinf(t):
-            return (math.inf,), (1.0,)
-        u, omega = subordination_rule(quad)
-        return t * t / (4.0 * u), omega
 
-    return Semigroup("P", math.sqrt, mixture)
+POISSON = Semigroup("P", math.sqrt, _subordinated_times)
 
 
 def poisson_apply_subordination(
-    f,
-    x,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
+    f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """P_t f(x) by quadrature of the u-integral; t > 0 (t = inf gives the mean).
 
@@ -174,24 +140,24 @@ def poisson_apply_subordination(
     xa = _single_point(x, f.dimension)
     series = _series_of(f)
     if series is not None and not math.isinf(t):
-        u, omega = subordination_rule(quad)
+        u, omega = subordination_rule(DEFAULT_SUBORDINATION)
 
         def factor(k: int) -> float:
             return float(np.sum(omega * np.exp(-(t * t * k) / (4.0 * u))))
 
         return float(_multiplied(series, factor).evaluate(xa))
-    return float(_poisson(quad).values(f, xa[None, :], t, cfg)[0])
+    return float(POISSON.values(f, xa[None, :], t, cfg)[0])
 
 
 @lru_cache(maxsize=64)
-def _kernel_rule(t: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_rule(t: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes L_k (OU times) and weights for the r-integral taken in L = -log r."""
     lo = t * t / (4.0 * _KERNEL_U_CUT)
     if lo >= _KERNEL_L_HI:
         empty = np.empty(0)
         return empty, empty
     edges = np.geomspace(lo, _KERNEL_L_HI, panels + 1)
-    L, w = _panel_points(edges, order)
+    L, w = _panel_points(edges, _KERNEL_PANEL_ORDER)
     W = w * (t / (2.0 * math.sqrt(math.pi))) * L**-1.5 * np.exp(-(t * t) / (4.0 * L))
     L.flags.writeable = False
     W.flags.writeable = False
@@ -214,7 +180,7 @@ def poisson_apply_kernel(
     xa = _single_point(x, f.dimension)
     if math.isinf(t):
         return float(_mixture_values(f, xa[None, :], (math.inf,), (1.0,), cfg)[0])
-    L, W = _kernel_rule(t, cfg.kernel_panels, cfg.kernel_panel_order)
+    L, W = _kernel_rule(t, cfg.kernel_panels)
     # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
     times = np.append(L, math.inf)
@@ -224,16 +190,11 @@ def poisson_apply_kernel(
 
 def poisson_apply_spectral(f, x, t: float):
     """Termwise e^{-t sqrt(|beta|)} decay on a Hermite series; t >= 0."""
-    return _poisson().apply_spectral(f, x, t)
+    return POISSON.apply_spectral(f, x, t)
 
 
 def poisson_apply(
-    f,
-    x,
-    t: float,
-    route: str = "auto",
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
+    f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """Dispatch P_t f(x); route 'auto' picks spectral for series, else subordination."""
     f = as_function(f)
@@ -242,7 +203,7 @@ def poisson_apply(
     if route == "spectral":
         return float(poisson_apply_spectral(f, x, t))
     if route == "subordination":
-        return poisson_apply_subordination(f, x, t, cfg, quad)
+        return poisson_apply_subordination(f, x, t, cfg)
     if route == "kernel":
         return poisson_apply_kernel(f, x, t, cfg)
     raise ValueError(
@@ -250,14 +211,9 @@ def poisson_apply(
     )
 
 
-def poisson_transform(
-    f,
-    t: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
-) -> FunctionRep:
+def poisson_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> FunctionRep:
     """P_t f as a function of x; series stay series, else pointwise quadrature."""
-    return _poisson(quad).transform(f, t, cfg)
+    return POISSON.transform(f, t, cfg)
 
 
 def poisson_maximal(
@@ -266,10 +222,9 @@ def poisson_maximal(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     times=None,
     include_limit: bool = True,
-    quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
 ) -> MaximalEstimate:
     """sup_t |P_t f(x)| over a log time grid, with the t = inf mean appended."""
-    return _time_maximal(_poisson(quad), f, x, cfg, times, include_limit)
+    return _time_maximal(POISSON, f, x, cfg, times, include_limit)
 
 
 def poisson_nontangential_maximal(
@@ -278,7 +233,6 @@ def poisson_nontangential_maximal(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     times=None,
     fractions=None,
-    quad: SubordinationQuadrature = DEFAULT_SUBORDINATION,
 ) -> MaximalEstimate:
     """sup |P_t f(y)| over the linear-aperture gaussian cone at apex x.
 
@@ -286,4 +240,4 @@ def poisson_nontangential_maximal(
     aperture-fraction rings, ties resolved toward small t then lexicographic
     y, with the achieving (y, t) pair returned.
     """
-    return _cone_maximal(_poisson(quad), f, x, "gaussian", cfg, times, fractions)
+    return _cone_maximal(POISSON, f, x, "gaussian", cfg, times, fractions)

@@ -224,7 +224,7 @@ def test_criterion_02_eigenrelation():
         pts = rng.uniform(-2.5, 2.5, size=(20, d))
         for beta in enumerate_multi_indices(d, 6):
             s = HermiteSeries(d, {beta.entries: 1.0})
-            resid = generator_apply(s, pts, CFG) + beta.degree * s.evaluate(pts)
+            resid = generator_apply(s, pts) + beta.degree * s.evaluate(pts)
             worst = max(worst, float(np.max(np.abs(resid))))
     ok = worst <= 1e-8
     _report(2, ok, f"eigenrelation L h = -|b| h, |b|<=6 d<=3: margin {worst:.3e} <= 1e-8")

@@ -343,8 +343,6 @@ def test_point_normalization_errors():
 
 
 def test_non_finite_integrand_reports_node():
-    f = PointwiseFunction(1, lambda p: 1.0 / p[:, 0])  # inf at any node near 0? no: 1/x finite at nodes
-    # force a genuine non-finite value instead
     g = PointwiseFunction(1, lambda p: np.where(p[:, 0] > 0, np.inf, 1.0))
     with pytest.raises(NonFiniteValueError) as info:
         fourier_hermite_coeff(g, (0,))

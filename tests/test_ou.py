@@ -31,7 +31,6 @@ from mehler import (
 )
 from mehler.cones import ConeSpec
 from mehler.ou import (
-    OUEvaluation,
     _folded_rows,
     _mixture_values,
     maximal_bound_report,
@@ -40,13 +39,12 @@ from mehler.ou import (
     ou_apply_change_of_var,
     ou_apply_kernel,
     ou_apply_spectral,
-    ou_evaluate,
     ou_maximal,
     ou_transform,
 )
 from mehler.measure import gaussian_norm, hl_maximal
 from mehler.poisson import (
-    _poisson,
+    POISSON,
     poisson_apply,
     poisson_apply_kernel,
     poisson_maximal,
@@ -160,12 +158,8 @@ def test_routes_agree_on_series():
 
 def test_dispatch_and_evaluation_record():
     assert ou_apply(H2, 1.0, 0.5) == pytest.approx(ou_apply_spectral(H2, 1.0, 0.5), rel=1e-14)
-    rec = ou_evaluate(H2, 1.0, 0.5)
-    assert rec.route == "spectral"
-    assert rec.x == (1.0,)
-    rec2 = ou_evaluate(bump(), 0.5, 0.25, cfg=CFG)
-    assert rec2.route == "change_of_var"
-    assert isinstance(rec2, OUEvaluation)
+    # auto picks change_of_var for a black box
+    assert ou_apply(bump(), 0.5, 0.25, cfg=CFG) == ou_apply_change_of_var(bump(), 0.5, 0.25, CFG)
 
 
 def test_route_validation():
@@ -449,7 +443,7 @@ def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension)
     points = far_points(dimension)
     n_nodes = cfg.gh_nodes ** dimension
     for t in POISSON_TIMES:
-        times, weights = _poisson().mixture(t)
+        times, weights = POISSON.mixture(t)
         sizes.clear()
         folded = _mixture_values(f, points, times, weights, cfg)
         assert 0 < sum(sizes) < len(times) * points.shape[0] * n_nodes, t
@@ -475,7 +469,7 @@ def test_only_equal_pairs_fold(n, dimension):
     f, sizes = counted(bump(dimension))
     points = np.vstack([far_points(dimension), np.zeros((1, dimension))])
     for t in POISSON_TIMES:
-        times, weights = _poisson().mixture(t)
+        times, weights = POISSON.mixture(t)
         pairs = [ou_module._decay_pair(float(u)) for u in times]
         kept = [pair for pair in pairs if pair[0] != 0.0]
         assert len(kept) < len(pairs) and any(pair[1] == 1.0 for pair in kept), t
@@ -509,7 +503,7 @@ def test_a_point_does_not_depend_on_its_batch(dimension):
     f = catalog_entry("bump", dimension).rep
     points = far_points(dimension)
     for t in POISSON_TIMES:
-        times, weights = _poisson().mixture(t)
+        times, weights = POISSON.mixture(t)
         alone = _mixture_values(f, points[:1], times, weights, CFG)
         batch = _mixture_values(f, points, times, weights, CFG)
         np.testing.assert_allclose(alone[0], batch[0], rtol=1e-15, atol=0.0, err_msg=str(t))

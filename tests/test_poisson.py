@@ -2,7 +2,8 @@
 
 The subordination identity pi^{-1/2} int u^{-1/2} e^{-u} e^{-lam^2/4u} du
 = e^{-lam} is first confirmed symbolically-numerically with mpmath, then the
-package quadrature is held to it. Eigenvalue decay e^{-t sqrt(|beta|)} against
+package quadrature is held to it, next to a second rule of the same integral
+built here (split_rule). Eigenvalue decay e^{-t sqrt(|beta|)} against
 frozen Hermite values gives independent pointwise references.
 """
 
@@ -21,6 +22,7 @@ from mehler import (
     gauss_hermite_grid,
     hermite_eval,
 )
+from mehler.ou import _mixture_values
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
     SubordinationQuadrature,
@@ -38,7 +40,6 @@ from mehler.poisson import (
 from mehler.measure import gaussian_norm
 
 CFG = QuadratureConfig()
-SPLIT = SubordinationQuadrature(scheme="split", nodes=560)
 
 ONE = HermiteSeries(1, {(0,): 1.0})
 H1 = HermiteSeries(1, {(1,): 1.0})
@@ -51,6 +52,25 @@ def bump(dimension: int = 1) -> PointwiseFunction:
         lambda p: np.exp(-np.sum(p * p, axis=1)),
         name="bump",
     )
+
+
+def split_rule(nodes: int = 560, cutoff: float = 30.0) -> tuple[np.ndarray, np.ndarray]:
+    """An independent rule (u_j, omega_j) of the Bochner u-integral.
+
+    Gauss-Legendre panels in u itself: geometric toward the u^{-1/2} endpoint
+    on [1e-22, 1], linear on [1, cutoff], where the dropped tail is below
+    e^{-cutoff}/sqrt(cutoff) ~ 1.7e-14.
+    """
+    n_geo, n_lin = 44, 12
+    xs, ws = np.polynomial.legendre.leggauss(max(4, nodes // (n_geo + n_lin)))
+    edges = np.concatenate(
+        [np.geomspace(1e-22, 1.0, n_geo + 1), np.linspace(1.0, cutoff, n_lin + 1)[1:]]
+    )
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    u = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
+    w = (halves[:, None] * ws[None, :]).ravel()
+    return u, w * np.exp(-u) / (np.sqrt(u) * math.sqrt(math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +90,18 @@ def test_subordination_identity_mpmath_reference():
 
 def test_bochner_identity_square_scheme():
     for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
-        assert bochner_identity_error(lam, DEFAULT_SUBORDINATION) <= 1e-10
+        assert bochner_identity_error(lam) <= 1e-10
 
 
 def test_bochner_identity_split_scheme():
+    u, omega = split_rule()
     for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
-        assert bochner_identity_error(lam, SPLIT) <= 1e-10
+        val = float(np.sum(omega * np.exp(-(lam * lam) / (4.0 * u))))
+        assert abs(val - math.exp(-lam)) <= 1e-10
 
 
 def test_subordination_weights_sum_to_one():
-    for quad in (DEFAULT_SUBORDINATION, SPLIT):
-        _, omega = subordination_rule(quad)
+    for _, omega in (subordination_rule(DEFAULT_SUBORDINATION), split_rule()):
         assert float(np.sum(omega)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -125,7 +146,7 @@ def test_kernel_route_with_an_empty_rule_is_the_weighted_mean():
     # at t = 60 the essential-decay cut t^2/120 = 30 lies past the flat-tail
     # cut 18.42, so no L_k is left and only the gamma-mean atom remains
     t = 60.0
-    L, W = _kernel_rule(t, CFG.kernel_panels, CFG.kernel_panel_order)
+    L, W = _kernel_rule(t, CFG.kernel_panels)
     assert L.size == 0 and W.size == 0
     f = bump(2)
     nodes, wts = gauss_hermite_grid(2, CFG.gh_nodes)
@@ -136,10 +157,12 @@ def test_kernel_route_with_an_empty_rule_is_the_weighted_mean():
 
 
 def test_split_scheme_cross_check():
+    # P_t f(0.4) as the OU-time mixture of the split rule, against the package
     f = bump()
+    u, omega = split_rule()
     for t in (0.3, 1.5):
         a = poisson_apply_subordination(f, 0.4, t, CFG)
-        b = poisson_apply_subordination(f, 0.4, t, CFG, quad=SPLIT)
+        b = float(_mixture_values(f, np.array([[0.4]]), t * t / (4.0 * u), omega, CFG)[0])
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -301,10 +324,6 @@ def test_nontangential_argmax_in_gaussian_cone():
 def test_quadrature_validation():
     with pytest.raises(ValueError):
         SubordinationQuadrature(nodes=8)
-    with pytest.raises(ValueError):
-        SubordinationQuadrature(scheme="triangle")
-    with pytest.raises(ValueError):
-        SubordinationQuadrature(cutoff=20.0)  # tail e^{-20}/sqrt(20) too fat
 
 
 def test_time_validation():

@@ -24,6 +24,11 @@ COMMANDS = {
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
+    "ou-apply-kernel-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
+                                    "--x", "0.3,0.2", "--t", "0.1", "--route", "kernel"],
+    "ou-apply-change_of_var-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
+                                           "--x", "0.3,0.2", "--t", "0.1",
+                                           "--route", "change_of_var"],
     "maximal-ou-truncated-bump-d2.json": ["maximal", "--function", "bump", "--dim", "2",
                                           "--x", "0.3,0.2", "--cone", "truncated-parabolic"],
     "maximal-poisson-gaussian-ball-d1.json": ["maximal", "--semigroup", "poisson", "--cone",
