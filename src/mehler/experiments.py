@@ -45,7 +45,6 @@ from .ou import (
     nontangential_maximal,
     ou_apply,
     ou_apply_change_of_var,
-    ou_apply_kernel,
     ou_apply_spectral,
     ou_transform,
 )
@@ -305,7 +304,7 @@ def _markov_margin(cfg: QuadratureConfig) -> float:
     worst = 0.0
     for t in (1e-4, 1e-2, 0.5, 2.0, 10.0):
         for x in (-4.0, 0.0, 1.3, 4.0):
-            worst = max(worst, abs(ou_apply_kernel(f, x, t, cfg) - 1.0))
+            worst = max(worst, abs(ou_apply_change_of_var(f, x, t, cfg) - 1.0))
     return worst
 
 
@@ -325,7 +324,6 @@ def _ou_route_margin(cfg: QuadratureConfig, seed: int, dims=(1, 2)) -> float:
         x = rng.uniform(-1.5, 1.5, size=d)
         for t in (0.1, 1.0):
             spectral = ou_apply_spectral(s, x, t)
-            worst = max(worst, abs(ou_apply_kernel(s, x, t, cfg) - spectral))
             worst = max(worst, abs(ou_apply_change_of_var(s, x, t, cfg) - spectral))
     return worst
 
@@ -355,7 +353,10 @@ def _semigroup_law_margins(cfg: QuadratureConfig) -> tuple[float, float, float]:
     t, s = 0.35, 0.6
     ou_inner = ou_transform(bump, s, cfg)
     ou_worst = max(
-        abs(ou_apply_kernel(ou_inner, x, t, cfg) - ou_apply_kernel(bump, x, t + s, cfg))
+        abs(
+            ou_apply_change_of_var(ou_inner, x, t, cfg)
+            - ou_apply_change_of_var(bump, x, t + s, cfg)
+        )
         for x in (0.0, 1.2)
     )
     po_inner = poisson_transform(bump, s, cfg)

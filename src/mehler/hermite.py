@@ -109,10 +109,6 @@ class MultiIndex:
             )
         object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
 
-    @classmethod
-    def of(cls, *entries: int) -> "MultiIndex":
-        return cls(tuple(entries))
-
     @property
     def dimension(self) -> int:
         return len(self.entries)

@@ -27,7 +27,6 @@ from scipy.special import erf
 
 from mehler.hermite import (
     DEFAULT_CONFIG,
-    FunctionRep,
     QuadratureConfig,
     _require_finite,
     as_function,
@@ -107,6 +106,20 @@ class MaximalEstimate:
             raise ValueError(f"maximal value must be >= 0, got {self.value}")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+
+
+def _section_max(best, values, arg_at):
+    """Fold one grid section into the running (value, argmax) pair.
+
+    The section's first largest |value| replaces best only when strictly
+    greater, so earlier sections and earlier rows win ties; arg_at(i) builds
+    the argmax of row i, for the winner only.
+    """
+    mags = np.abs(values)
+    i = int(np.argmax(mags))
+    if mags[i] > best[0]:
+        return float(mags[i]), arg_at(i)
+    return best
 
 
 @lru_cache(maxsize=16)
@@ -195,17 +208,15 @@ def hl_maximal(
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or not np.all(radii > 0):
         raise ValueError("radii must be a nonempty 1-d array of positive values")
-    best_value = -math.inf
-    best_radius = float(radii[0])
-    for r in np.sort(radii):
+    rs = np.sort(radii)
+    avgs = []
+    for r in rs:
         ball = GaussianBall(tuple(center), float(r))
         pts, wts = _ball_rule(ball, cfg)
         vals = rep.values(pts)
         _require_finite(vals, pts, "integrand")
         # same reduction for numerator and denominator: averaging a constant
         # is then exact, not merely close
-        avg = float(np.sum(wts * np.abs(vals)) / np.sum(wts))
-        if avg > best_value:
-            best_value = avg
-            best_radius = float(r)
-    return MaximalEstimate(value=best_value, argmax=best_radius, grid_size=len(radii))
+        avgs.append(float(np.sum(wts * np.abs(vals)) / np.sum(wts)))
+    value, arg = _section_max((-math.inf, None), avgs, lambda i: float(rs[i]))
+    return MaximalEstimate(value=value, argmax=arg, grid_size=len(radii))

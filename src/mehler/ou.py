@@ -9,23 +9,20 @@ cone supremum are derived from that pair once, here, for both semigroups.
 The scope is d <= 3: cone cross-sections, like the ball rules of
 `mehler.measure`, raise ValueError above it.
 
-T_t has three evaluation routes:
+T_t has two evaluation routes:
 
-  kernel         gaussian quadrature of the explicit two-point kernel, with
-                 the kernel exponent recomputed from the quadrature points
   change_of_var  T_t f(x) = integral of f(e^{-t}x + sqrt(1-e^{-2t})u) dgamma(u)
   spectral       termwise decay e^{-t|beta|} on a Hermite expansion
 
-The kernel route is not independent of change_of_var: it evaluates f at the
-same substituted points, and the exponent it recomputes,
--|y - rx|^2/(1 - r^2) + |u|^2, is identically 0 because s^2 = 1 - r^2. So
-the two agree to about 3e-16; only the spectral route, on a series, is an
-independent reference for them.
+The Mehler kernel integral is not a third route: the substitution
+y = e^{-t}x + sqrt(1-e^{-2t})u turns the kernel against dgamma(y) into
+dgamma(u), so it is the change_of_var integral. `ou_apply_kernel` keeps its
+name for callers of the kernel formula and returns the change_of_var value.
+Only the spectral route, on a series, is an independent reference for it.
 
-The t -> 0 blowup of the kernel normalization is never evaluated: both
-quadrature routes run through the substitution above, which stays
-well-conditioned down to t = 0 and covers t = +inf (where T_t f collapses
-to the gamma-mean of f).
+The t -> 0 blowup of the kernel normalization is never evaluated: the
+substitution stays well-conditioned down to t = 0 and covers t = +inf
+(where T_t f collapses to the gamma-mean of f).
 
 Every black-box T_t value, and every weighted mixture sum_k w_k T_{t_k} f
 that the Poisson routes reduce to, goes through one shifted Gauss-Hermite
@@ -74,9 +71,9 @@ from .hermite import (
     as_points,
     gauss_hermite_grid,
 )
-from .measure import MaximalEstimate, gaussian_norm, hl_maximal
+from .measure import MaximalEstimate, _section_max, gaussian_norm, hl_maximal
 
-OU_ROUTES = ("kernel", "change_of_var", "spectral")
+OU_ROUTES = ("change_of_var", "spectral")
 
 _NONTANGENTIAL_KINDS = ("parabolic-gaussian", "truncated-parabolic")
 
@@ -93,6 +90,15 @@ def _single_point(x, dimension: int) -> np.ndarray:
     if not single:
         raise ValueError("expected a single point")
     return pts[0]
+
+
+def _route_args(f, x, t: float) -> tuple[FunctionRep, float, np.ndarray]:
+    """(f, t, x) of a one-point quadrature route, checked: t > 0, x one point."""
+    f = as_function(f)
+    t = float(t)
+    if not t > 0.0:
+        raise ValueError(f"time must be positive, got {t}")
+    return f, t, _single_point(x, f.dimension)
 
 
 # f-points per block of the shifted quadrature; one block's coordinates take
@@ -230,38 +236,20 @@ OU = Semigroup("T", lambda k: k, lambda t: ((t,), (1.0,)))
 
 
 def ou_apply_kernel(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Quadrature of the explicit kernel against f; t > 0 (t = inf allowed).
+    """T_t f(x) by the Mehler kernel: the change-of-variable integral; t > 0.
 
-    The quadrature points come from the same substitution as the
-    change-of-variable route, and the integrand re-derives the kernel
-    exponent from the physical points y. That exponent is identically 0
-    (s^2 = 1 - r^2), so this route is not an independent check of the
-    kernel formula: it equals the change-of-variable route to about 3e-16.
+    The substitution y = e^{-t}x + sqrt(1-e^{-2t})u turns the kernel against
+    dgamma(y) into dgamma(u), so the kernel integral and the change-of-variable
+    integral are one integral, taken by one quadrature. It is a function of
+    its own, not an alias, so wrappers that find functions by identity (the
+    benchmark's tracer) see two distinct names.
     """
-    f = as_function(f)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    xa = _single_point(x, f.dimension)
-    r, s = _decay_pair(t)
-    one_minus_r2 = -math.expm1(-2.0 * t)
-    nodes, wts = gauss_hermite_grid(f.dimension, cfg.gh_nodes)
-    y = r * xa[None, :] + s * nodes
-    # exponent of the kernel at (x, y), with the Gauss-Hermite weight divided out
-    expo = -np.sum((y - r * xa[None, :]) ** 2, axis=1) / one_minus_r2
-    expo += np.sum(nodes * nodes, axis=1)
-    vals = f.values(y)
-    _require_finite(vals, y, "kernel integrand")
-    return float(np.sum(wts * np.exp(expo) * vals))
+    return ou_apply_change_of_var(f, x, t, cfg)
 
 
 def ou_apply_change_of_var(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """T_t f(x) as a gamma-average of f(e^{-t}x + sqrt(1-e^{-2t})u); t > 0."""
-    f = as_function(f)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    xa = _single_point(x, f.dimension)
+    f, t, xa = _route_args(f, x, t)
     return float(_mixture_values(f, xa[None, :], (t,), (1.0,), cfg)[0])
 
 
@@ -279,8 +267,6 @@ def ou_apply(
         route = "spectral" if _series_of(f) is not None else "change_of_var"
     if route == "spectral":
         return float(ou_apply_spectral(f, x, t))
-    if route == "kernel":
-        return ou_apply_kernel(f, x, t, cfg)
     if route == "change_of_var":
         return ou_apply_change_of_var(f, x, t, cfg)
     raise ValueError(f"unknown route {route!r}; expected one of {OU_ROUTES} or 'auto'")
@@ -323,20 +309,6 @@ def _directions(dimension: int, count: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _section_max(best, values, arg_at):
-    """Fold one grid section into the running (value, argmax) pair.
-
-    The section's first largest |value| replaces best only when strictly
-    greater, so earlier sections and earlier rows win ties; arg_at(i) builds
-    the argmax of row i, for the winner only.
-    """
-    mags = np.abs(values)
-    i = int(np.argmax(mags))
-    if mags[i] > best[0]:
-        return float(mags[i]), arg_at(i)
-    return best
-
-
 def _positive_times(times) -> np.ndarray:
     ts = np.sort(np.asarray(times, dtype=float))
     if ts.size == 0 or not np.all(ts > 0.0):
@@ -344,29 +316,20 @@ def _positive_times(times) -> np.ndarray:
     return ts
 
 
-def _time_maximal(
-    sg: Semigroup, f, x, cfg: QuadratureConfig, times, include_limit: bool
-) -> MaximalEstimate:
+def _time_maximal(sg: Semigroup, f, x, cfg: QuadratureConfig, times) -> MaximalEstimate:
     """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
     f = as_function(f)
     xa = _single_point(x, f.dimension)
     ts = list(cfg.time_grid.values() if times is None else _positive_times(times))
-    if include_limit:
-        ts.append(math.inf)
+    ts.append(math.inf)
     vals = [sg.values(f, xa[None, :], float(t), cfg)[0] for t in ts]
     value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
     return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
 
-def ou_maximal(
-    f,
-    x,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    times=None,
-    include_limit: bool = True,
-) -> MaximalEstimate:
+def ou_maximal(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None) -> MaximalEstimate:
     """sup_t |T_t f(x)| over a log time grid, with the t = inf mean appended."""
-    return _time_maximal(OU, f, x, cfg, times, include_limit)
+    return _time_maximal(OU, f, x, cfg, times)
 
 
 def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:

@@ -44,8 +44,8 @@ from .ou import (
     _cone_maximal,
     _mixture_values,
     _multiplied,
+    _route_args,
     _series_of,
-    _single_point,
     _time_maximal,
 )
 
@@ -133,11 +133,7 @@ def poisson_apply_subordination(
     The inner T_{t^2/4u} evaluations go through the spectral route for series
     representations and the shifted gaussian quadrature otherwise.
     """
-    f = as_function(f)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    xa = _single_point(x, f.dimension)
+    f, t, xa = _route_args(f, x, t)
     series = _series_of(f)
     if series is not None and not math.isinf(t):
         u, omega = subordination_rule(DEFAULT_SUBORDINATION)
@@ -173,11 +169,7 @@ def poisson_apply_kernel(
     decay cut near r = 1 and the flat tail near r = 0, where T_L f is within
     about 1e-8 of the gamma-mean and the rest of the integral is an erf.
     """
-    f = as_function(f)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    xa = _single_point(x, f.dimension)
+    f, t, xa = _route_args(f, x, t)
     if math.isinf(t):
         return float(_mixture_values(f, xa[None, :], (math.inf,), (1.0,), cfg)[0])
     L, W = _kernel_rule(t, cfg.kernel_panels)
@@ -217,14 +209,10 @@ def poisson_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Fu
 
 
 def poisson_maximal(
-    f,
-    x,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    times=None,
-    include_limit: bool = True,
+    f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None
 ) -> MaximalEstimate:
     """sup_t |P_t f(x)| over a log time grid, with the t = inf mean appended."""
-    return _time_maximal(POISSON, f, x, cfg, times, include_limit)
+    return _time_maximal(POISSON, f, x, cfg, times)
 
 
 def poisson_nontangential_maximal(

@@ -41,9 +41,17 @@ def test_ou_apply_routes_agree(capsys):
     code, spectral, _ = run_cli(capsys, *args, "--route", "spectral")
     assert code == 0
     assert float(spectral) == pytest.approx(math.exp(-2.0) * 2.0 / math.sqrt(8.0), abs=1e-14)
-    code, kernel, _ = run_cli(capsys, *args, "--route", "kernel")
+    code, change, _ = run_cli(capsys, *args, "--route", "change_of_var")
     assert code == 0
-    assert float(kernel) == pytest.approx(float(spectral), abs=1e-10)
+    assert float(change) == pytest.approx(float(spectral), abs=1e-10)
+
+
+def test_ou_apply_has_no_kernel_route(capsys):
+    # the kernel integral is the change_of_var integral, so it is no route
+    with pytest.raises(SystemExit) as exc:
+        main(["ou-apply", "--function", "h_2", "--x", "1.0", "--t", "1.0", "--route", "kernel"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'kernel'" in capsys.readouterr().err
 
 
 def test_poisson_apply(capsys):

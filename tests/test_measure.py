@@ -161,6 +161,11 @@ def test_hl_of_constant_is_exactly_one():
     est = hl_maximal(f, 0.3, CFG)
     assert est.value == 1.0
     assert est.grid_size == CFG.radius_grid.count
+    # every radius ties: the smallest wins, whatever order the radii come in
+    radii = CFG.radius_grid.values()[::-1]
+    est = hl_maximal(f, 0.3, CFG, radii=radii)
+    assert est.value == 1.0
+    assert est.argmax == min(radii)
 
 
 def test_hl_of_unit_ball_indicator_at_center():

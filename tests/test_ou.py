@@ -171,6 +171,23 @@ def test_route_validation():
         ou_apply_spectral(bump(), 0.0, 1.0)
     with pytest.raises(ValueError):
         ou_apply(H2, 0.0, 1.0, route="secret")
+    with pytest.raises(ValueError, match="unknown route 'kernel'"):
+        ou_apply(bump(), 0.0, 1.0, route="kernel", cfg=CFG)
+
+
+# the kernel integral is the change_of_var integral: one quadrature, so the
+# two names agree bitwise (d = 3 at 16 nodes keeps the test small)
+KERNEL_NODES = {1: 64, 2: 64, 3: 16}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("name", ["bump", "ball", "spike"])
+def test_kernel_is_the_change_of_var_integral(name, dimension):
+    cfg = QuadratureConfig(gh_nodes=KERNEL_NODES[dimension])
+    f = catalog_entry(name, dimension).rep
+    x = np.linspace(0.3, -0.2, dimension)
+    for t in (1e-4, 0.5, math.inf):
+        assert ou_apply_kernel(f, x, t, cfg) == ou_apply_change_of_var(f, x, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +560,21 @@ def test_mixture_blocks_are_coordinate_major(dimension):
     assert all(f_contiguous for f_contiguous, _ in seen)
 
 
+# one row of 64^d nodes: d = 2 fits in one block, d = 3 splits into 16
+KERNEL_BLOCKS = {2: [(4096, 2)], 3: [(16384, 3)] * 16}
+
+
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_rule_blocks_are_coordinate_major(dimension):
     x = np.full(dimension, 0.2)
     n_nodes = CFG.gh_nodes ** dimension
     f, seen = layout_spy(dimension)
     ou_apply_kernel(f, x, 0.5, CFG)
+    assert seen == [(True, shape) for shape in KERNEL_BLOCKS[dimension]]
+    assert all(n <= ou_module._BLOCK_POINTS for _, (n, _) in seen)
+    seen.clear()
     gaussian_norm(f, 2.0, CFG)
-    assert seen == [(True, (n_nodes, dimension))] * 2
+    assert seen == [(True, (n_nodes, dimension))]
     seen.clear()
     radii = (0.1, 0.5, 2.0)
     hl_maximal(f, x, CFG, radii=radii)

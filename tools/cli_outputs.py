@@ -15,6 +15,7 @@ import sys
 
 COMMANDS = {
     "verify-fast-seed7.json": ["verify", "--level", "fast", "--seed", "7"],
+    "verify-full-seed7.json": ["verify", "--level", "full", "--seed", "7"],
     "converge-h_2.csv": ["converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5"],
     "converge-poisson-ball-d1.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
                                      "--function", "ball", "--apex", "0.5"],
@@ -24,8 +25,6 @@ COMMANDS = {
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
-    "ou-apply-kernel-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
-                                    "--x", "0.3,0.2", "--t", "0.1", "--route", "kernel"],
     "ou-apply-change_of_var-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
                                            "--x", "0.3,0.2", "--t", "0.1",
                                            "--route", "change_of_var"],
