@@ -129,6 +129,21 @@ class ApproachPath:
         return np.array([t for _, t in self.points])
 
 
+def _unit_direction(direction, d: int) -> np.ndarray:
+    # the unit vector along `direction`; e_1 when it is None
+    if direction is None:
+        u = np.zeros(d)
+        u[0] = 1.0
+        return u
+    u = np.atleast_1d(np.asarray(direction, dtype=float))
+    if u.shape != (d,):
+        raise ValueError(f"direction has shape {u.shape}, path lives in R^{d}")
+    norm = float(np.linalg.norm(u))
+    if not 0.0 < norm < math.inf:
+        raise ValueError("direction must be a finite nonzero vector")
+    return u / norm
+
+
 def cone_path(
     spec: ConeSpec,
     n: int,
@@ -149,18 +164,7 @@ def cone_path(
         raise ValueError("eta must lie in [0, 1)")
     if not 0.0 < decay < 1.0:
         raise ValueError("decay must lie in (0, 1)")
-    d = spec.dimension
-    if direction is None:
-        u = np.zeros(d)
-        u[0] = 1.0
-    else:
-        u = np.atleast_1d(np.asarray(direction, dtype=float))
-        if u.shape != (d,):
-            raise ValueError(f"direction has shape {u.shape}, cone lives in R^{d}")
-        norm = float(np.linalg.norm(u))
-        if not norm > 0.0 or not np.all(np.isfinite(u)):
-            raise ValueError("direction must be a finite nonzero vector")
-        u = u / norm
+    u = _unit_direction(direction, spec.dimension)
     cap = spec.time_cap
     t0 = cfg.time_grid.hi if math.isinf(cap) else min(cfg.time_grid.hi, (1.0 - _CAP_MARGIN) * cap)
     if not t0 > 0.0:
@@ -197,18 +201,7 @@ def tangential_path(
     if not t_start > 0.0:
         raise ValueError("t_start must be positive")
     apex = np.atleast_1d(np.asarray(x, dtype=float))
-    d = apex.size
-    if direction is None:
-        u = np.zeros(d)
-        u[0] = 1.0
-    else:
-        u = np.atleast_1d(np.asarray(direction, dtype=float))
-        if u.shape != (d,):
-            raise ValueError(f"direction has shape {u.shape}, point lives in R^{d}")
-        norm = float(np.linalg.norm(u))
-        if not norm > 0.0:
-            raise ValueError("direction must be nonzero")
-        u = u / norm
+    u = _unit_direction(direction, apex.size)
     points = []
     for k in range(n):
         t = t_start * decay**k

@@ -34,10 +34,10 @@ from .hermite import (
     HermiteSeries,
     PointwiseFunction,
     QuadratureConfig,
+    _hermite_rows,
     enumerate_multi_indices,
     gauss_hermite_grid,
     generator_apply,
-    hermite_values_1d,
 )
 from .measure import gaussian_norm, hl_maximal
 from .ou import (
@@ -270,15 +270,8 @@ def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> d
 def _basis_matrix(dimension: int, max_degree: int, cfg: QuadratureConfig):
     """Values of every h_beta (|beta| <= max_degree) at the tensor grid nodes."""
     nodes, wts = gauss_hermite_grid(dimension, cfg.gh_nodes)
-    tables = [hermite_values_1d(max_degree, nodes[:, a]) for a in range(dimension)]
     index = enumerate_multi_indices(dimension, max_degree)
-    mat = np.empty((len(index), nodes.shape[0]))
-    for i, beta in enumerate(index):
-        row = tables[0][beta.entries[0]].copy()
-        for a in range(1, dimension):
-            row *= tables[a][beta.entries[a]]
-        mat[i] = row
-    return mat, wts
+    return np.array(list(_hermite_rows([(b, 1.0) for b in index], nodes))), wts
 
 
 def _orthonormality_margin(dimension: int, max_degree: int, cfg: QuadratureConfig) -> float:

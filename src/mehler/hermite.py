@@ -213,11 +213,11 @@ class QuadratureConfig:
     time_grid       log grid of semigroup times for the time suprema.
     ball_nodes      Gauss-Legendre nodes per axis for ball integrals.
     cross_radial    radial points per cone cross-section (clustered at the rim).
-    cross_angular   angular directions per cross-section in d = 2.
-    kernel_panels   panel count for the subordinated-kernel radial integral.
+    cross_angular   directions per cross-section: a circle in d = 2, a
+                    sphere spiral (at least 4) in d = 3.
 
-    The subordination integral of P_t has its own rule,
-    `mehler.poisson.SubordinationQuadrature`, which `refined` leaves alone.
+    The subordination integral of P_t (`mehler.poisson.SubordinationQuadrature`)
+    and the panels of its kernel route have fixed rules; `refined` leaves them alone.
     """
 
     gh_nodes: int = 64
@@ -226,7 +226,6 @@ class QuadratureConfig:
     ball_nodes: int = 64
     cross_radial: int = 8
     cross_angular: int = 8
-    kernel_panels: int = 40
 
     def __post_init__(self):
         if not (2 <= self.gh_nodes <= 1024):
@@ -235,8 +234,6 @@ class QuadratureConfig:
             raise ValueError(f"ball_nodes must be >= 2, got {self.ball_nodes}")
         if self.cross_radial < 2 or self.cross_angular < 1:
             raise ValueError("cross-section grid needs >= 2 radial and >= 1 angular points")
-        if self.kernel_panels < 4:
-            raise ValueError("kernel quadrature needs >= 4 panels")
 
     def refined(self, factor: int = 2) -> "QuadratureConfig":
         """Same configuration with every grid `factor` times finer."""
@@ -247,7 +244,6 @@ class QuadratureConfig:
             ball_nodes=self.ball_nodes * factor,
             cross_radial=self.cross_radial * factor,
             cross_angular=self.cross_angular * factor,
-            kernel_panels=self.kernel_panels * factor,
         )
 
 
@@ -469,14 +465,22 @@ def hermite_values_1d(max_degree: int, xi: np.ndarray) -> np.ndarray:
     return table
 
 
-def _hermite_product(beta: MultiIndex, pts: np.ndarray) -> np.ndarray:
-    # prod over axes of the 1-d rows; pts has shape (n, d)
-    out = np.ones(pts.shape[0])
-    for axis, deg in enumerate(beta):
-        if deg == 0:
-            continue
-        out *= hermite_values_1d(deg, pts[:, axis])[deg]
-    return out
+def _hermite_rows(terms: list, pts: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield c * h_beta(pts) for each (beta, c) of `terms`, in order.
+
+    One value table is built per axis, sized by the largest degree on that
+    axis; each row starts from c and multiplies in the nonzero degrees.
+    """
+    tables = [
+        hermite_values_1d(max((b[axis] for b, _ in terms), default=0), pts[:, axis])
+        for axis in range(pts.shape[1])
+    ]
+    for b, c in terms:
+        row = np.full(pts.shape[0], c)
+        for axis, deg in enumerate(b):
+            if deg:
+                row = row * tables[axis][deg]
+        yield row
 
 
 def hermite_eval(beta, x) -> Union[float, np.ndarray]:
@@ -486,49 +490,29 @@ def hermite_eval(beta, x) -> Union[float, np.ndarray]:
     """
     mi = _as_multi_index(beta)
     pts, single = as_points(x, mi.dimension)
-    vals = _hermite_product(mi, pts)
+    vals = next(_hermite_rows([(mi, 1.0)], pts))
     return float(vals[0]) if single else vals
 
 
 def hermite_deriv(beta, x, axis: int) -> Union[float, np.ndarray]:
     """Partial derivative of h_beta along `axis`.
 
-    Uses d/dxi h_k = sqrt(2k) h_{k-1} coordinatewise, so the result is again
-    a product of normalized Hermite values (exact, no differencing).
+    d/dxi h_k = sqrt(2k) h_{k-1}, applied to the unit series of h_beta by
+    `_series_axis_derivative`: exact, no differencing.
     """
     mi = _as_multi_index(beta)
     if not (0 <= axis < mi.dimension):
         raise ValueError(f"axis {axis} out of range for dimension {mi.dimension}")
     pts, single = as_points(x, mi.dimension)
-    k = mi[axis]
-    if k == 0:
-        vals = np.zeros(pts.shape[0])
-    else:
-        lowered = list(mi.entries)
-        lowered[axis] = k - 1
-        vals = math.sqrt(2.0 * k) * _hermite_product(MultiIndex(tuple(lowered)), pts)
+    unit = HermiteSeries(mi.dimension, {mi: 1.0})
+    vals = _series_values(_series_axis_derivative(unit, axis), pts)
     return float(vals[0]) if single else vals
 
 
 def _series_values(series: HermiteSeries, pts: np.ndarray) -> np.ndarray:
-    if not series.coefficients:
-        return np.zeros(pts.shape[0])
-    # one value table per axis, sized by the largest degree appearing there
-    max_by_axis = [0] * series.dimension
-    for b in series.coefficients:
-        for axis, deg in enumerate(b):
-            max_by_axis[axis] = max(max_by_axis[axis], deg)
-    tables = [
-        hermite_values_1d(max_by_axis[axis], pts[:, axis])
-        for axis in range(series.dimension)
-    ]
     out = np.zeros(pts.shape[0])
-    for b, c in series.terms():
-        term = np.full(pts.shape[0], c)
-        for axis, deg in enumerate(b):
-            if deg:
-                term = term * tables[axis][deg]
-        out += term
+    for row in _hermite_rows(series.terms(), pts):
+        out += row
     return out
 
 
@@ -571,7 +555,27 @@ def fourier_hermite_coeff(f, beta, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
     pts, wts = gauss_hermite_grid(rep.dimension, cfg.gh_nodes)
     fvals = rep.values(pts)
     _require_finite(fvals, pts, "integrand")
-    return float(np.dot(wts, fvals * _hermite_product(mi, pts)))
+    return float(np.dot(wts, fvals * next(_hermite_rows([(mi, 1.0)], pts))))
+
+
+def _projection(f: FunctionRep, degrees: range, cfg: QuadratureConfig) -> HermiteSeries:
+    # the part of f on {h_beta : |beta| in degrees}; black-box coefficients
+    # at or below _COEFF_PRUNE are dropped
+    d = f.dimension
+    if isinstance(f, SeriesFunction):
+        kept = {b: c for b, c in f.series.coefficients.items() if b.degree in degrees}
+        return HermiteSeries(d, kept)
+    betas = [b for b in enumerate_multi_indices(d, degrees.stop - 1) if b.degree in degrees]
+    pts, wts = gauss_hermite_grid(d, cfg.gh_nodes)
+    fvals = f.values(pts)
+    _require_finite(fvals, pts, "integrand")
+    weighted = wts * fvals
+    coeffs: dict[MultiIndex, float] = {}
+    for b, row in zip(betas, _hermite_rows([(b, 1.0) for b in betas], pts)):
+        c = float(np.dot(weighted, row))
+        if abs(c) > _COEFF_PRUNE:
+            coeffs[b] = c
+    return HermiteSeries(d, coeffs)
 
 
 def project_chaos(f, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteSeries:
@@ -586,40 +590,12 @@ def project_chaos(f, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteS
         raise ValueError(f"chaos order must be >= 0, got {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"chaos order {n} exceeds the supported cap {MAX_DEGREE}")
-    d = rep.dimension
-    if isinstance(rep, SeriesFunction):
-        kept = {b: c for b, c in rep.series.coefficients.items() if b.degree == n}
-        return HermiteSeries(d, kept)
-    betas = [b for b in enumerate_multi_indices(d, n) if b.degree == n]
-    pts, wts = gauss_hermite_grid(d, cfg.gh_nodes)
-    fvals = rep.values(pts)
-    _require_finite(fvals, pts, "integrand")
-    coeffs: dict[MultiIndex, float] = {}
-    weighted = wts * fvals
-    for b in betas:
-        c = float(np.dot(weighted, _hermite_product(b, pts)))
-        if abs(c) > _COEFF_PRUNE:
-            coeffs[b] = c
-    return HermiteSeries(d, coeffs)
+    return _projection(rep, range(n, n + 1), cfg)
 
 
 def hermite_expand(f, max_degree: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteSeries:
     """Hermite expansion of f through total degree max_degree."""
-    rep = as_function(f, dimension=None)
-    if isinstance(rep, SeriesFunction):
-        kept = {b: c for b, c in rep.series.coefficients.items() if b.degree <= max_degree}
-        return HermiteSeries(rep.dimension, kept)
-    d = rep.dimension
-    pts, wts = gauss_hermite_grid(d, cfg.gh_nodes)
-    fvals = rep.values(pts)
-    _require_finite(fvals, pts, "integrand")
-    weighted = wts * fvals
-    coeffs: dict[MultiIndex, float] = {}
-    for b in enumerate_multi_indices(d, max_degree):
-        c = float(np.dot(weighted, _hermite_product(b, pts)))
-        if abs(c) > _COEFF_PRUNE:
-            coeffs[b] = c
-    return HermiteSeries(d, coeffs)
+    return _projection(as_function(f, dimension=None), range(max_degree + 1), cfg)
 
 
 def generator_apply(f, x) -> Union[float, np.ndarray]:

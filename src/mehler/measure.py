@@ -47,17 +47,8 @@ __all__ = [
 def gaussian_density(x) -> Union[float, np.ndarray]:
     """Density of gamma_d at x: exp(-|x|^2) / pi^(d/2)."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        single = True
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-        single = True
-    elif arr.ndim == 2:
-        single = False
-    else:
-        raise ValueError(f"points array must have ndim <= 2, got shape {arr.shape}")
-    d = arr.shape[1]
+    d = arr.shape[-1] if arr.ndim else 1
+    arr, single = as_points(arr, d)
     vals = np.exp(-np.sum(arr * arr, axis=1)) / math.pi ** (d / 2.0)
     return float(vals[0]) if single else vals
 

@@ -199,7 +199,7 @@ class Semigroup:
         if series is None:
             raise TypeError("spectral route needs a Hermite series representation")
         t = float(t)
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError(f"time must be nonnegative, got {t}")
         return self.spectral(series, t).evaluate(x)
 
@@ -220,7 +220,7 @@ class Semigroup:
         name = f"{self.prefix}_{t}[{f.name}]"
         series = _series_of(f)
         if series is not None:
-            if t < 0.0:
+            if not t >= 0.0:
                 raise ValueError(f"time must be nonnegative, got {t}")
             return SeriesFunction(self.spectral(series, t), name=name)
         if not t > 0.0:

@@ -56,7 +56,8 @@ POISSON_ROUTES = ("subordination", "kernel", "spectral")
 _KERNEL_L_HI = 18.42
 # essential-decay cut near r = 1: contributions with t^2/4L > this are dropped
 _KERNEL_U_CUT = 30.0
-# Gauss-Legendre order inside each kernel-route panel
+# panel count and Gauss-Legendre order per panel of the kernel route
+_KERNEL_PANELS = 40
 _KERNEL_PANEL_ORDER = 12
 
 
@@ -146,13 +147,13 @@ def poisson_apply_subordination(
 
 
 @lru_cache(maxsize=64)
-def _kernel_rule(t: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes L_k (OU times) and weights for the r-integral taken in L = -log r."""
     lo = t * t / (4.0 * _KERNEL_U_CUT)
     if lo >= _KERNEL_L_HI:
         empty = np.empty(0)
         return empty, empty
-    edges = np.geomspace(lo, _KERNEL_L_HI, panels + 1)
+    edges = np.geomspace(lo, _KERNEL_L_HI, _KERNEL_PANELS + 1)
     L, w = _panel_points(edges, _KERNEL_PANEL_ORDER)
     W = w * (t / (2.0 * math.sqrt(math.pi))) * L**-1.5 * np.exp(-(t * t) / (4.0 * L))
     L.flags.writeable = False
@@ -172,7 +173,7 @@ def poisson_apply_kernel(
     f, t, xa = _route_args(f, x, t)
     if math.isinf(t):
         return float(_mixture_values(f, xa[None, :], (math.inf,), (1.0,), cfg)[0])
-    L, W = _kernel_rule(t, cfg.kernel_panels)
+    L, W = _kernel_rule(t)
     # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
     times = np.append(L, math.inf)

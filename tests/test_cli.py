@@ -46,6 +46,14 @@ def test_ou_apply_routes_agree(capsys):
     assert float(change) == pytest.approx(float(spectral), abs=1e-10)
 
 
+@pytest.mark.parametrize("command", ["ou-apply", "poisson-apply"])
+def test_apply_rejects_nan_time(capsys, command):
+    code, out, err = run_cli(capsys, command, "--function", "one", "--x", "0.3", "--t", "nan")
+    assert code == 2
+    assert out == ""
+    assert "time must be nonnegative, got nan" in err
+
+
 def test_ou_apply_has_no_kernel_route(capsys):
     # the kernel integral is the change_of_var integral, so it is no route
     with pytest.raises(SystemExit) as exc:

@@ -188,6 +188,22 @@ def test_path_rejects_bad_arguments():
         cone_path(spec, 4, 0.5, 0.5, direction=(0.0,))
 
 
+BAD_DIRECTIONS = [(math.inf, 0.0), (math.nan, 1.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("direction", BAD_DIRECTIONS)
+def test_cone_path_rejects_non_finite_or_zero_direction(direction):
+    spec = ConeSpec((0.0, 0.0), PARABOLIC)
+    with pytest.raises(ValueError, match="finite nonzero"):
+        cone_path(spec, 2, 0.5, 0.5, direction=direction)
+
+
+@pytest.mark.parametrize("direction", BAD_DIRECTIONS)
+def test_tangential_path_rejects_non_finite_or_zero_direction(direction):
+    with pytest.raises(ValueError, match="finite nonzero"):
+        tangential_path((0.0, 0.0), 2, 0.25, direction=direction)
+
+
 def test_approach_path_validates_membership():
     spec = ConeSpec((0.0,), PARABOLIC)
     with pytest.raises(ValueError):

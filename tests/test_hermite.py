@@ -34,7 +34,9 @@ from mehler import (
     hermite_expand,
     project_chaos,
 )
-from mehler.hermite import LogGrid, hermite_values_1d
+from mehler.catalog import catalog_entry
+from mehler.experiments import _basis_matrix
+from mehler.hermite import LogGrid, _hermite_rows, hermite_values_1d
 
 SQRT2 = math.sqrt(2.0)
 
@@ -202,6 +204,38 @@ def test_orthonormality_d2():
     assert np.max(np.abs(gram - np.eye(len(betas)))) < 1e-12
 
 
+def per_beta_product(beta, pts):
+    # one 1-d table per beta and axis, multiplied in place: the evaluation
+    # the shared row generator replaced, kept as a bitwise oracle
+    out = np.ones(pts.shape[0])
+    for axis, deg in enumerate(beta):
+        if deg:
+            out *= hermite_values_1d(deg, pts[:, axis])[deg]
+    return out
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_rows_are_the_per_beta_product(dimension):
+    cfg = QuadratureConfig(gh_nodes=16)
+    pts = np.random.default_rng(5).normal(scale=1.5, size=(40, dimension))
+    betas = enumerate_multi_indices(dimension, 6)
+    rows = list(_hermite_rows([(b, 1.0) for b in betas], pts))
+    assert len(rows) == len(betas)
+    for b, row in zip(betas, rows):
+        want = per_beta_product(b, pts)
+        assert np.array_equal(row, want)
+        assert np.array_equal(hermite_eval(b, pts), want)
+    f = catalog_entry("bump", dimension).rep
+    nodes, wts = gauss_hermite_grid(dimension, cfg.gh_nodes)
+    fvals = f.values(nodes)
+    for b in betas:
+        want = float(np.dot(wts, fvals * per_beta_product(b, nodes)))
+        assert fourier_hermite_coeff(f, b, cfg) == want
+    mat, mat_wts = _basis_matrix(dimension, 6, cfg)
+    assert np.array_equal(mat, np.array([per_beta_product(b, nodes) for b in betas]))
+    assert mat_wts is wts
+
+
 # ---------------------------------------------------------------------------
 # coefficients and projections
 # ---------------------------------------------------------------------------
@@ -243,6 +277,17 @@ def test_project_chaos_picks_out_layer():
     coeffs = {b.entries: c for b, c in s.terms()}
     assert set(coeffs) == {(2,)}
     assert coeffs[(2,)] == pytest.approx(1.0 / SQRT2, abs=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_project_chaos_is_the_layer_of_the_expansion(dimension):
+    cfg = QuadratureConfig(gh_nodes=16)
+    f = catalog_entry("bump", dimension).rep
+    full = hermite_expand(f, 5, cfg)
+    for n in range(6):
+        layer = {b: c for b, c in full.coefficients.items() if b.degree == n}
+        assert project_chaos(f, n, cfg).coefficients == layer
+        assert project_chaos(full, n).coefficients == layer
 
 
 def test_series_coefficient_read_back_exactly():

@@ -175,6 +175,19 @@ def test_route_validation():
         ou_apply(bump(), 0.0, 1.0, route="kernel", cfg=CFG)
 
 
+@pytest.mark.parametrize("call", [ou_apply, poisson_apply])
+@pytest.mark.parametrize("f", [ONE, H2])
+def test_spectral_apply_rejects_nan_time(call, f):
+    with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
+        call(f, 0.3, math.nan)
+
+
+@pytest.mark.parametrize("transform", [ou_transform, poisson_transform])
+def test_spectral_transform_rejects_nan_time(transform):
+    with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
+        transform(H2, math.nan)
+
+
 # the kernel integral is the change_of_var integral: one quadrature, so the
 # two names agree bitwise (d = 3 at 16 nodes keeps the test small)
 KERNEL_NODES = {1: 64, 2: 64, 3: 16}

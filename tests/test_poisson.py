@@ -146,7 +146,7 @@ def test_kernel_route_with_an_empty_rule_is_the_weighted_mean():
     # at t = 60 the essential-decay cut t^2/120 = 30 lies past the flat-tail
     # cut 18.42, so no L_k is left and only the gamma-mean atom remains
     t = 60.0
-    L, W = _kernel_rule(t, CFG.kernel_panels)
+    L, W = _kernel_rule(t)
     assert L.size == 0 and W.size == 0
     f = bump(2)
     nodes, wts = gauss_hermite_grid(2, CFG.gh_nodes)

@@ -46,6 +46,9 @@ COMMANDS = {
     "poisson-apply-kernel-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
                                               "--dim", "2", "--x", "0.3,0.2", "--t", "0.1",
                                               "--route", "kernel"],
+    "hermite-eval-beta2_1-d2.txt": ["hermite-eval", "--beta", "2,1", "--x", "0.4,-1.1"],
+    "coeff-bump-d1-beta3.txt": ["coeff", "--function", "bump", "--beta", "3"],
+    "coeff-bump-d2-beta1_1.txt": ["coeff", "--function", "bump", "--dim", "2", "--beta", "1,1"],
 }
 
 
