@@ -16,7 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .catalog import catalog_entry
+from .cones import CONE_KINDS
 from .experiments import (
+    SEMIGROUPS,
+    VERIFY_LEVELS,
     ExperimentConfig,
     contrast_csv,
     convergence_csv,
@@ -29,7 +32,7 @@ from .experiments import (
 )
 from .hermite import DEFAULT_CONFIG, fourier_hermite_coeff, hermite_eval
 from .ou import OU_ROUTES, nontangential_maximal, ou_apply, ou_maximal
-from .poisson import POISSON_ROUTES, poisson_maximal, poisson_nontangential_maximal
+from .poisson import POISSON_ROUTES, poisson_apply, poisson_maximal, poisson_nontangential_maximal
 
 # config-file keys mirror the long flags; values parse like the flag would
 _LIST_KEYS = {"apex"}
@@ -81,10 +84,8 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_experiment(p: argparse.ArgumentParser):
     _add_common(p)
     p.add_argument("--function", help="catalog entry name")
-    p.add_argument("--semigroup", choices=("ou", "poisson"))
-    p.add_argument(
-        "--cone", choices=("parabolic-gaussian", "gaussian", "truncated-parabolic")
-    )
+    p.add_argument("--semigroup", choices=SEMIGROUPS)
+    p.add_argument("--cone", choices=CONE_KINDS)
     p.add_argument("--eta", type=float, help="relative aperture of the path, in [0, 1)")
     p.add_argument("--decay", type=float, help="geometric time decay, in (0, 1)")
     p.add_argument("--apex", action="append", help="apex point, comma-separated; repeatable")
@@ -124,10 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--function", required=True)
     p.add_argument("--x", required=True, help="evaluation point, comma-separated")
-    p.add_argument("--semigroup", choices=("ou", "poisson"), default="ou")
+    p.add_argument("--semigroup", choices=SEMIGROUPS, default="ou")
     p.add_argument(
-        "--cone",
-        choices=("parabolic-gaussian", "gaussian", "truncated-parabolic"),
+        "--cone", choices=CONE_KINDS,
         help="take the supremum over this cone instead of the ray t > 0",
     )
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
     _add_common(p)
-    p.add_argument("--level", choices=("fast", "full"), help="fast (< 60 s) or full")
+    p.add_argument("--level", choices=VERIFY_LEVELS, help="fast (< 60 s) or full")
     p.add_argument("--out", help="write the JSON report here as well as stdout")
 
     return parser
@@ -229,8 +229,6 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    from .poisson import poisson_apply
-
     dim = _effective(args, "dim", 1)
     entry = catalog_entry(args.function, dim)
     x = _parse_floats(args.x)

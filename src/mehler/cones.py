@@ -138,10 +138,12 @@ def _unit_direction(direction, d: int) -> np.ndarray:
     u = np.atleast_1d(np.asarray(direction, dtype=float))
     if u.shape != (d,):
         raise ValueError(f"direction has shape {u.shape}, path lives in R^{d}")
-    norm = float(np.linalg.norm(u))
-    if not 0.0 < norm < math.inf:
+    # scaled by max|u_i| first, so the norm neither overflows nor underflows
+    scale = float(np.max(np.abs(u)))
+    if not 0.0 < scale < math.inf:
         raise ValueError("direction must be a finite nonzero vector")
-    return u / norm
+    u = u / scale
+    return u / np.linalg.norm(u)
 
 
 def cone_path(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .hermite import (
     PointwiseFunction,
     QuadratureConfig,
     _hermite_rows,
+    _node_blocks,
     enumerate_multi_indices,
-    gauss_hermite_grid,
     generator_apply,
 )
 from .measure import gaussian_norm, hl_maximal
@@ -267,17 +267,13 @@ def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> d
 # ---------------------------------------------------------------------------
 
 
-def _basis_matrix(dimension: int, max_degree: int, cfg: QuadratureConfig):
-    """Values of every h_beta (|beta| <= max_degree) at the tensor grid nodes."""
-    nodes, wts = gauss_hermite_grid(dimension, cfg.gh_nodes)
-    index = enumerate_multi_indices(dimension, max_degree)
-    return np.array(list(_hermite_rows([(b, 1.0) for b in index], nodes))), wts
-
-
 def _orthonormality_margin(dimension: int, max_degree: int, cfg: QuadratureConfig) -> float:
-    mat, wts = _basis_matrix(dimension, max_degree, cfg)
-    gram = (mat * wts[None, :]) @ mat.T
-    return float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
+    terms = [(b, 1.0) for b in enumerate_multi_indices(dimension, max_degree)]
+    gram = np.zeros((len(terms), len(terms)))
+    for nodes, wts in _node_blocks(dimension, cfg):
+        mat = np.array(list(_hermite_rows(terms, nodes)))
+        gram += (mat * wts[None, :]) @ mat.T
+    return float(np.max(np.abs(gram - np.eye(len(terms)))))
 
 
 def _eigenrelation_margin(dimension: int, max_degree: int, seed: int) -> float:
@@ -553,22 +549,6 @@ def domination_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, ConvergenceRecord):
-        return {
-            "apex": list(obj.apex),
-            "alpha": obj.alpha,
-            "sup_error": obj.sup_error,
-            "y_star": list(obj.y_star),
-            "t_star": obj.t_star,
-        }
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def to_json(payload) -> str:
     """Deterministic JSON: sorted keys, no timestamps, round-trip floats."""
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=asdict) + "\n"

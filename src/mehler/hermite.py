@@ -218,6 +218,8 @@ class QuadratureConfig:
 
     The subordination integral of P_t (`mehler.poisson.SubordinationQuadrature`)
     and the panels of its kernel route have fixed rules; `refined` leaves them alone.
+    The block budget of the Gauss-Hermite integrals, _BLOCK_POINTS f-points
+    per call of f, is a constant of this module, not a field.
     """
 
     gh_nodes: int = 64
@@ -442,6 +444,36 @@ def gauss_hermite_grid(dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+# f-points per block of every Gauss-Hermite integral; one block's coordinates
+# take 8 * d * _BLOCK_POINTS bytes
+_BLOCK_POINTS = 1 << 14
+
+
+def _node_blocks(dimension: int, cfg: QuadratureConfig):
+    """(nodes, weights) of the rule of cfg, in views of at most _BLOCK_POINTS rows."""
+    nodes, wts = gauss_hermite_grid(dimension, cfg.gh_nodes)
+    for lo in range(0, wts.size, _BLOCK_POINTS):
+        yield nodes[lo : lo + _BLOCK_POINTS], wts[lo : lo + _BLOCK_POINTS]
+
+
+def _coefficients(values: Callable, dimension: int, betas, cfg: QuadratureConfig) -> np.ndarray:
+    """<g, h_beta> in L^2(gamma_d) for each beta, g given by values(points).
+
+    values gets a Fortran-ordered copy of each node block (a row slice of
+    the cached grid is not Fortran-ordered). Each block adds
+    np.dot(weights, g * h_beta) to a sum that starts at -0.0, the exact
+    identity of +, so one block gives np.dot's value bit for bit.
+    """
+    out = np.full(len(betas), -0.0)
+    for nodes, wts in _node_blocks(dimension, cfg):
+        pts = np.asfortranarray(nodes)
+        vals = values(pts)
+        _require_finite(vals, pts, "integrand")
+        for i, row in enumerate(_hermite_rows([(b, 1.0) for b in betas], pts)):
+            out[i] += np.dot(wts, vals * row)
+    return out
+
+
 def hermite_values_1d(max_degree: int, xi: np.ndarray) -> np.ndarray:
     """Table of normalized 1-d Hermite values, shape (max_degree+1, len(xi)).
 
@@ -552,10 +584,7 @@ def fourier_hermite_coeff(f, beta, cfg: QuadratureConfig = DEFAULT_CONFIG) -> fl
         )
     if isinstance(rep, SeriesFunction):
         return rep.series.coefficient(mi)
-    pts, wts = gauss_hermite_grid(rep.dimension, cfg.gh_nodes)
-    fvals = rep.values(pts)
-    _require_finite(fvals, pts, "integrand")
-    return float(np.dot(wts, fvals * next(_hermite_rows([(mi, 1.0)], pts))))
+    return float(_coefficients(rep.values, rep.dimension, [mi], cfg)[0])
 
 
 def _projection(f: FunctionRep, degrees: range, cfg: QuadratureConfig) -> HermiteSeries:
@@ -566,16 +595,8 @@ def _projection(f: FunctionRep, degrees: range, cfg: QuadratureConfig) -> Hermit
         kept = {b: c for b, c in f.series.coefficients.items() if b.degree in degrees}
         return HermiteSeries(d, kept)
     betas = [b for b in enumerate_multi_indices(d, degrees.stop - 1) if b.degree in degrees]
-    pts, wts = gauss_hermite_grid(d, cfg.gh_nodes)
-    fvals = f.values(pts)
-    _require_finite(fvals, pts, "integrand")
-    weighted = wts * fvals
-    coeffs: dict[MultiIndex, float] = {}
-    for b, row in zip(betas, _hermite_rows([(b, 1.0) for b in betas], pts)):
-        c = float(np.dot(weighted, row))
-        if abs(c) > _COEFF_PRUNE:
-            coeffs[b] = c
-    return HermiteSeries(d, coeffs)
+    coeffs = _coefficients(f.values, d, betas, cfg)
+    return HermiteSeries(d, {b: c for b, c in zip(betas, coeffs) if abs(c) > _COEFF_PRUNE})
 
 
 def project_chaos(f, n: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HermiteSeries:

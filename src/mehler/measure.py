@@ -28,10 +28,10 @@ from scipy.special import erf
 from mehler.hermite import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _coefficients,
     _require_finite,
     as_function,
     as_points,
-    gauss_hermite_grid,
 )
 
 __all__ = [
@@ -167,16 +167,20 @@ def gaussian_ball_measure(ball: GaussianBall, cfg: QuadratureConfig = DEFAULT_CO
 
 
 def gaussian_norm(f, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """L^p(gamma_d) norm by tensor Gauss-Hermite quadrature."""
+    """L^p(gamma_d) norm: the integral of |f|^p is its h_0 coefficient by `_coefficients`."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     rep = as_function(f)
-    pts, wts = gauss_hermite_grid(rep.dimension, cfg.gh_nodes)
-    vals = rep.values(pts)
-    _require_finite(vals, pts, "integrand")
-    powered = np.abs(vals) ** p
-    _require_finite(powered, pts, "integrand |f|^p")
-    return float(np.dot(wts, powered) ** (1.0 / p))
+
+    def powered(pts: np.ndarray) -> np.ndarray:
+        vals = rep.values(pts)
+        _require_finite(vals, pts, "integrand")
+        out = np.abs(vals) ** p
+        _require_finite(out, pts, "integrand |f|^p")
+        return out
+
+    h0 = (0,) * rep.dimension
+    return float(_coefficients(powered, rep.dimension, [h0], cfg)[0] ** (1.0 / p))
 
 
 def hl_maximal(

@@ -27,12 +27,13 @@ substitution stays well-conditioned down to t = 0 and covers t = +inf
 Every black-box T_t value, and every weighted mixture sum_k w_k T_{t_k} f
 that the Poisson routes reduce to, goes through one shifted Gauss-Hermite
 evaluator, `_mixture_values`. It calls f on blocks of at most
-_BLOCK_POINTS = 2^14 points, splitting the node axis when one row has more
-nodes than that (d = 3 at 64 nodes per axis), and folds each block into one
-accumulator per point. Its working memory is therefore a block, under
-0.4 MB of coordinates in d = 3 plus f's own temporaries, next to the cached
-GH grid (8.4 MB in d = 3 at 64 nodes); it does not grow with the number of
-points or times.
+`hermite._BLOCK_POINTS` = 2^14 points, the budget of every Gauss-Hermite
+integral of the package; when one row has more nodes than that (d = 3 at
+64 nodes per axis) it takes the node slices of `hermite._node_blocks`. It
+folds each block into one accumulator per point. Its working memory is
+therefore a block, under 0.4 MB of coordinates in d = 3 plus f's own
+temporaries, next to the cached GH grid (8.4 MB in d = 3 at 64 nodes); it
+does not grow with the number of points or times.
 
 Before blocking, `_mixture_values` folds the times whose blocks are equal
 (see _folded_rows), so each distinct integral is computed once.
@@ -40,9 +41,10 @@ Before blocking, `_mixture_values` folds the times whose blocks are equal
 Blocks are built coordinate-major: a C-contiguous (d, n) buffer whose
 transpose, a Fortran-ordered (n, d) view, is what f receives, so a row
 norm inside f adds d contiguous columns instead of reducing short rows.
-The same holds for the cached GH grid and the masked ball rule of
-`hl_maximal`. f therefore receives a float (n, d) array that may be
-Fortran-ordered; evaluators must not assume C-contiguity.
+The same holds for the node blocks of `hermite._coefficients` (norms,
+coefficients, projections) and the masked ball rule of `hl_maximal`. f
+therefore receives a float (n, d) array that may be Fortran-ordered;
+evaluators must not assume C-contiguity.
 
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
@@ -58,6 +60,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import hermite
 from .cones import ConeSpec
 from .hermite import (
     DEFAULT_CONFIG,
@@ -69,7 +72,6 @@ from .hermite import (
     _require_finite,
     as_function,
     as_points,
-    gauss_hermite_grid,
 )
 from .measure import MaximalEstimate, _section_max, gaussian_norm, hl_maximal
 
@@ -101,11 +103,6 @@ def _route_args(f, x, t: float) -> tuple[FunctionRep, float, np.ndarray]:
     return f, t, _single_point(x, f.dimension)
 
 
-# f-points per block of the shifted quadrature; one block's coordinates take
-# 8 * d * _BLOCK_POINTS bytes
-_BLOCK_POINTS = 1 << 14
-
-
 def _folded_rows(times, weights):
     """(r, s, w) of the mixture's rows, each distinct (r, s) pair once.
 
@@ -135,30 +132,28 @@ def _mixture_values(
     Each (time, point) pair is a row with centre r_k x_p and scale s_k.
     Times with equal (r, s) are folded first (see _folded_rows). Rows are
     taken time-major, so each point's terms are summed in the order of the
-    times; f is called on blocks of whole rows, or on node slices of one row
-    when a row alone exceeds _BLOCK_POINTS.
+    times; f is called on blocks of whole rows, or on the node slices of
+    `hermite._node_blocks`, one row at a time, when a row alone exceeds
+    _BLOCK_POINTS.
     """
     d = f.dimension
-    nodes, wts = gauss_hermite_grid(d, cfg.gh_nodes)
-    nodes_t = nodes.T
+    blocks = list(hermite._node_blocks(d, cfg))
     r, s, w = _folded_rows(times, weights)
-    n_points, n_nodes = points.shape[0], nodes.shape[0]
-    rows_per_block = max(1, _BLOCK_POINTS // n_nodes)
-    node_step = min(n_nodes, _BLOCK_POINTS)
+    n_points = points.shape[0]
+    rows_per_block = max(1, hermite._BLOCK_POINTS // cfg.gh_nodes**d)
     n_rows = r.size * n_points
     acc = np.zeros(n_points)
     for start in range(0, n_rows, rows_per_block):
         k, p = np.divmod(np.arange(start, min(start + rows_per_block, n_rows)), n_points)
         centres = r[k, None] * points[p]
         row_vals = np.zeros(k.size)
-        for lo in range(0, n_nodes, node_step):
+        for nodes, wts in blocks:
             # built as (d, rows, nodes) so f gets contiguous coordinate columns
-            step = nodes_t[:, None, lo : lo + node_step]
-            shifted = centres.T[:, :, None] + s[None, k, None] * step
+            shifted = centres.T[:, :, None] + s[None, k, None] * nodes.T[:, None, :]
             shifted = shifted.reshape(d, -1).T
             vals = f.values(shifted)
             _require_finite(vals, shifted, "semigroup integrand")
-            row_vals += vals.reshape(k.size, -1) @ wts[lo : lo + node_step]
+            row_vals += vals.reshape(k.size, -1) @ wts
         np.add.at(acc, p, w[k] * row_vals)
     return acc
 

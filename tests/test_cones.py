@@ -8,6 +8,7 @@ generated paths never step outside their own cone.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,27 @@ def test_cone_path_rejects_non_finite_or_zero_direction(direction):
 def test_tangential_path_rejects_non_finite_or_zero_direction(direction):
     with pytest.raises(ValueError, match="finite nonzero"):
         tangential_path((0.0, 0.0), 2, 0.25, direction=direction)
+
+
+# finite directions whose squared norm overflows or underflows
+EXTREME_DIRECTIONS = [(1e200, 1e200), (1e-200, 1e-200)]
+
+
+@pytest.mark.parametrize("direction", EXTREME_DIRECTIONS)
+def test_cone_path_accepts_extreme_finite_direction(direction):
+    spec = ConeSpec((0.0, 0.0), PARABOLIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = cone_path(spec, 3, 0.5, 0.5, direction=direction)
+    assert path.points == cone_path(spec, 3, 0.5, 0.5, direction=(1.0, 1.0)).points
+
+
+@pytest.mark.parametrize("direction", EXTREME_DIRECTIONS)
+def test_tangential_path_accepts_extreme_finite_direction(direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = tangential_path((0.0, 0.0), 3, 0.25, direction=direction)
+    assert pts == tangential_path((0.0, 0.0), 3, 0.25, direction=(1.0, 1.0))
 
 
 def test_approach_path_validates_membership():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss, hermval
 from scipy.special import roots_hermite
 
+import mehler.hermite as hermite_module
 from mehler import (
     HermiteSeries,
     MultiIndex,
@@ -35,8 +36,9 @@ from mehler import (
     project_chaos,
 )
 from mehler.catalog import catalog_entry
-from mehler.experiments import _basis_matrix
+from mehler.experiments import _orthonormality_margin
 from mehler.hermite import LogGrid, _hermite_rows, hermite_values_1d
+from mehler.measure import gaussian_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -231,9 +233,43 @@ def test_rows_are_the_per_beta_product(dimension):
     for b in betas:
         want = float(np.dot(wts, fvals * per_beta_product(b, nodes)))
         assert fourier_hermite_coeff(f, b, cfg) == want
-    mat, mat_wts = _basis_matrix(dimension, 6, cfg)
-    assert np.array_equal(mat, np.array([per_beta_product(b, nodes) for b in betas]))
-    assert mat_wts is wts
+    mat = np.array([per_beta_product(b, nodes) for b in betas])
+    gram = (mat * wts[None, :]) @ mat.T
+    want = float(np.max(np.abs(gram - np.eye(len(betas)))))
+    assert _orthonormality_margin(dimension, 6, cfg) == want
+
+
+def shifted_bump(dimension: int) -> PointwiseFunction:
+    # off-centre, so no coefficient vanishes by symmetry
+    centre = np.array([0.3, -0.2, 0.1][:dimension])
+    return PointwiseFunction(dimension, lambda p: np.exp(-np.sum((p - centre) ** 2, axis=1)))
+
+
+@pytest.mark.parametrize("budget", [7, 64, 4096])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_block_budget_does_not_change_integrals(monkeypatch, dimension, budget):
+    # d = 3 takes a 16-node rule so that 7-point blocks stay cheap
+    cfg = QuadratureConfig() if dimension < 3 else QuadratureConfig(gh_nodes=16)
+    f = shifted_bump(dimension)
+    betas = enumerate_multi_indices(dimension, 3)
+    nodes, wts = gauss_hermite_grid(dimension, cfg.gh_nodes)
+    fvals = f.values(nodes)
+    coeffs = np.array([np.dot(wts, fvals * per_beta_product(b, nodes)) for b in betas])
+    mat = np.array([per_beta_product(b, nodes) for b in enumerate_multi_indices(dimension, 6)])
+    margin = float(np.max(np.abs((mat * wts[None, :]) @ mat.T - np.eye(mat.shape[0]))))
+    monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", budget)
+    for p in (1.0, 2.0, 3.0):
+        want = float(np.dot(wts, np.abs(fvals) ** p) ** (1.0 / p))
+        assert gaussian_norm(f, p, cfg) == pytest.approx(want, rel=1e-14, abs=0.0)
+    got = [fourier_hermite_coeff(f, b, cfg) for b in betas]
+    np.testing.assert_allclose(got, coeffs, rtol=1e-14, atol=0.0)
+    expanded = hermite_expand(f, 3, cfg)
+    assert list(expanded.coefficients) == betas
+    np.testing.assert_allclose([expanded.coefficient(b) for b in betas], coeffs, rtol=1e-14, atol=0.0)
+    layer = project_chaos(f, 2, cfg)
+    assert layer.coefficients == {b: c for b, c in expanded.coefficients.items() if b.degree == 2}
+    # the margins are rounding noise on unit Gram entries: compared in absolute terms
+    assert abs(_orthonormality_margin(dimension, 6, cfg) - margin) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import mehler
+import mehler.hermite as hermite_module
 import mehler.ou as ou_module
 from mehler import (
     HermiteSeries,
@@ -26,8 +27,11 @@ from mehler import (
     PointwiseFunction,
     QuadratureConfig,
     catalog_entry,
+    fourier_hermite_coeff,
     gauss_hermite_grid,
     hermite_eval,
+    hermite_expand,
+    project_chaos,
 )
 from mehler.cones import ConeSpec
 from mehler.ou import (
@@ -354,9 +358,9 @@ def test_block_budget_does_not_change_values(monkeypatch, name, dimension, budge
     reference = np.array([
         sum(w * one_shot_ou(f, x, t) for t, w in zip(times, weights)) for x in points
     ])
-    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 1 << 22)
+    monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", 1 << 22)
     whole = _mixture_values(f, points, times, weights, CFG)
-    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", budget)
+    monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", budget)
     split = _mixture_values(f, points, times, weights, CFG)
     np.testing.assert_allclose(whole, reference, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
@@ -371,7 +375,7 @@ def test_empty_mixture_is_zero():
 
 
 def test_non_finite_value_in_a_later_block_is_reported(monkeypatch):
-    monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 64)
+    monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", 64)
     calls = []
 
     def wall(p):
@@ -468,7 +472,7 @@ def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension)
     # so the unfolded reference stays cheap
     cfg = CFG if dimension < 3 else QuadratureConfig(gh_nodes=16)
     if dimension == 3:
-        monkeypatch.setattr(ou_module, "_BLOCK_POINTS", 1024)
+        monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", 1024)
     f, sizes = counted(catalog_entry(name, dimension).rep)
     points = far_points(dimension)
     n_nodes = cfg.gh_nodes ** dimension
@@ -573,21 +577,25 @@ def test_mixture_blocks_are_coordinate_major(dimension):
     assert all(f_contiguous for f_contiguous, _ in seen)
 
 
-# one row of 64^d nodes: d = 2 fits in one block, d = 3 splits into 16
-KERNEL_BLOCKS = {2: [(4096, 2)], 3: [(16384, 3)] * 16}
+# one rule of 64^d nodes: d = 2 fits in one block, d = 3 splits into 16
+RULE_BLOCKS = {2: [(4096, 2)], 3: [(16384, 3)] * 16}
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_rule_blocks_are_coordinate_major(dimension):
     x = np.full(dimension, 0.2)
-    n_nodes = CFG.gh_nodes ** dimension
     f, seen = layout_spy(dimension)
-    ou_apply_kernel(f, x, 0.5, CFG)
-    assert seen == [(True, shape) for shape in KERNEL_BLOCKS[dimension]]
-    assert all(n <= ou_module._BLOCK_POINTS for _, (n, _) in seen)
-    seen.clear()
-    gaussian_norm(f, 2.0, CFG)
-    assert seen == [(True, (n_nodes, dimension))]
+    for integral in (
+        lambda: ou_apply_kernel(f, x, 0.5, CFG),
+        lambda: gaussian_norm(f, 2.0, CFG),
+        lambda: fourier_hermite_coeff(f, (1,) * dimension, CFG),
+        lambda: project_chaos(f, 2, CFG),
+        lambda: hermite_expand(f, 2, CFG),
+    ):
+        seen.clear()
+        integral()
+        assert seen == [(True, shape) for shape in RULE_BLOCKS[dimension]]
+    assert all(n <= hermite_module._BLOCK_POINTS for _, (n, _) in seen)
     seen.clear()
     radii = (0.1, 0.5, 2.0)
     hl_maximal(f, x, CFG, radii=radii)

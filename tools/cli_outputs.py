@@ -49,6 +49,8 @@ COMMANDS = {
     "hermite-eval-beta2_1-d2.txt": ["hermite-eval", "--beta", "2,1", "--x", "0.4,-1.1"],
     "coeff-bump-d1-beta3.txt": ["coeff", "--function", "bump", "--beta", "3"],
     "coeff-bump-d2-beta1_1.txt": ["coeff", "--function", "bump", "--dim", "2", "--beta", "1,1"],
+    "coeff-bump-d3-beta1_0_1.txt": ["coeff", "--function", "bump", "--dim", "3",
+                                    "--beta", "1,0,1"],
 }
 
 
