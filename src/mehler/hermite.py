@@ -201,7 +201,8 @@ class LogGrid:
         return np.geomspace(self.lo, self.hi, self.count)
 
     def refined(self, factor: int = 2) -> "LogGrid":
-        return LogGrid(self.count * factor, self.lo, self.hi)
+        """The grid with each gap split in `factor`: it contains every point of this one."""
+        return LogGrid((self.count - 1) * factor + 1, self.lo, self.hi)
 
 
 @dataclass(frozen=True)

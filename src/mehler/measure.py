@@ -11,8 +11,16 @@ The Hardy-Littlewood maximal operator here is the gaussian one,
 
     M f(x) = sup_r  gamma_d(B(x, r))^(-1) * integral_{B(x,r)} |f| dgamma_d,
 
-with the supremum taken over a recorded log grid of radii, so every estimate
-is a reproducible lower bound that converges from below under refinement.
+with the supremum taken over a recorded log grid of radii. Every estimate
+is reproducible: the largest quadrature value on its grid. It is not a
+bound, since the quadrature can err either way. `QuadratureConfig.refined`
+splits every gap of the radius and time grids, so a refined ladder
+contains the default one; in d <= 2 the refined cone cross-sections
+contain the default cells too (aperture fractions and circle directions).
+There, a grid supremum can fall under refinement only by the change of its
+quadrature rule (Gauss rules never nest). The d = 3 cross-sections take a
+spiral of directions that is not nested, so a d = 3 cone supremum can also
+fall by its grid.
 """
 
 from __future__ import annotations

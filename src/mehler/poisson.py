@@ -42,6 +42,7 @@ from .measure import MaximalEstimate, _gl_rule
 from .ou import (
     Semigroup,
     _cone_maximal,
+    _folded_rows,
     _mixture_values,
     _multiplied,
     _route_args,
@@ -172,13 +173,14 @@ def poisson_apply_kernel(
     """
     f, t, xa = _route_args(f, x, t)
     if math.isinf(t):
-        return float(_mixture_values(f, xa[None, :], (math.inf,), (1.0,), cfg)[0])
+        rows = _folded_rows((math.inf,), (1.0,))
+        return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
     L, W = _kernel_rule(t)
     # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
     times = np.append(L, math.inf)
     weights = np.append(W, math.erf(t / (2.0 * math.sqrt(cut))))
-    return float(_mixture_values(f, xa[None, :], times, weights, cfg)[0])
+    return float(_mixture_values(f, xa[None, :], _folded_rows(times, weights), cfg)[0])
 
 
 def poisson_apply_spectral(f, x, t: float):

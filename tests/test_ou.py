@@ -71,6 +71,11 @@ def bump(dimension: int = 1) -> PointwiseFunction:
     )
 
 
+def mixture(f, points, times, weights, cfg) -> np.ndarray:
+    # sum_k w_k T_{t_k} f at each point, on the folded rows of (times, weights)
+    return _mixture_values(f, points, _folded_rows(times, weights), cfg)
+
+
 def bump_transform_exact(x: float, t: float) -> float:
     # T_t[e^{-u^2}](x), d = 1, by completing the square
     r2 = math.exp(-2.0 * t)
@@ -359,19 +364,19 @@ def test_block_budget_does_not_change_values(monkeypatch, name, dimension, budge
         sum(w * one_shot_ou(f, x, t) for t, w in zip(times, weights)) for x in points
     ])
     monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", 1 << 22)
-    whole = _mixture_values(f, points, times, weights, CFG)
+    whole = mixture(f, points, times, weights, CFG)
     monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", budget)
-    split = _mixture_values(f, points, times, weights, CFG)
+    split = mixture(f, points, times, weights, CFG)
     np.testing.assert_allclose(whole, reference, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
     for x in points:
-        single = _mixture_values(f, x[None, :], (0.7,), (1.0,), CFG)[0]
+        single = mixture(f, x[None, :], (0.7,), (1.0,), CFG)[0]
         assert single == pytest.approx(one_shot_ou(f, x, 0.7), rel=1e-14, abs=0.0)
 
 
 def test_empty_mixture_is_zero():
     points = np.zeros((3, 2))
-    assert np.array_equal(_mixture_values(bump(2), points, (), (), CFG), np.zeros(3))
+    assert np.array_equal(mixture(bump(2), points, (), (), CFG), np.zeros(3))
 
 
 def test_non_finite_value_in_a_later_block_is_reported(monkeypatch):
@@ -479,7 +484,7 @@ def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension)
     for t in POISSON_TIMES:
         times, weights = POISSON.mixture(t)
         sizes.clear()
-        folded = _mixture_values(f, points, times, weights, cfg)
+        folded = mixture(f, points, times, weights, cfg)
         assert 0 < sum(sizes) < len(times) * points.shape[0] * n_nodes, t
         reference = row_by_row(f, points, times, weights, cfg)
         np.testing.assert_allclose(folded, reference, rtol=1e-15, atol=0.0, err_msg=str(t))
@@ -512,7 +517,7 @@ def test_only_equal_pairs_fold(n, dimension):
         r, s, _ = _folded_rows(times, weights)
         assert list(zip(r.tolist(), s.tolist())) == expected, t
         sizes.clear()
-        _mixture_values(f, points, times, weights, cfg)
+        mixture(f, points, times, weights, cfg)
         assert sum(sizes) == len(expected) * points.shape[0] * n**dimension, t
 
 
@@ -524,7 +529,7 @@ def test_a_saturated_row_with_r_above_zero_keeps_its_points():
     f, sizes = counted(bump(1))
     times, weights = (t, math.inf), (0.5, 0.5)
     points = np.array([[4.0]])
-    value = _mixture_values(f, points, times, weights, CFG)
+    value = mixture(f, points, times, weights, CFG)
     assert sum(sizes) == 2 * CFG.gh_nodes
     reference = row_by_row(f, points, times, weights, CFG)
     assert value[0] == pytest.approx(reference[0], rel=1e-15, abs=0.0)
@@ -538,8 +543,8 @@ def test_a_point_does_not_depend_on_its_batch(dimension):
     points = far_points(dimension)
     for t in POISSON_TIMES:
         times, weights = POISSON.mixture(t)
-        alone = _mixture_values(f, points[:1], times, weights, CFG)
-        batch = _mixture_values(f, points, times, weights, CFG)
+        alone = mixture(f, points[:1], times, weights, CFG)
+        batch = mixture(f, points, times, weights, CFG)
         np.testing.assert_allclose(alone[0], batch[0], rtol=1e-15, atol=0.0, err_msg=str(t))
 
 
@@ -572,7 +577,7 @@ MIXTURE_BLOCKS = {
 def test_mixture_blocks_are_coordinate_major(dimension):
     f, seen = layout_spy(dimension)
     points = np.random.default_rng(dimension).uniform(-0.5, 0.5, size=(3, dimension))
-    _mixture_values(f, points, (0.1, 1.0), (0.5, 0.5), CFG)
+    mixture(f, points, (0.1, 1.0), (0.5, 0.5), CFG)
     assert [shape for _, shape in seen] == MIXTURE_BLOCKS[dimension]
     assert all(f_contiguous for f_contiguous, _ in seen)
 

@@ -22,7 +22,7 @@ from mehler import (
     gauss_hermite_grid,
     hermite_eval,
 )
-from mehler.ou import _mixture_values
+from mehler.ou import _folded_rows, _mixture_values
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
     SubordinationQuadrature,
@@ -162,7 +162,8 @@ def test_split_scheme_cross_check():
     u, omega = split_rule()
     for t in (0.3, 1.5):
         a = poisson_apply_subordination(f, 0.4, t, CFG)
-        b = float(_mixture_values(f, np.array([[0.4]]), t * t / (4.0 * u), omega, CFG)[0])
+        rows = _folded_rows(t * t / (4.0 * u), omega)
+        b = float(_mixture_values(f, np.array([[0.4]]), rows, CFG)[0])
         assert a == pytest.approx(b, abs=1e-9)
 
 

@@ -34,7 +34,12 @@ COMMANDS = {
                                               "gaussian", "--function", "ball", "--x", "0.5"],
     "maximal-poisson-gaussian-h_2-d1.json": ["maximal", "--semigroup", "poisson", "--cone",
                                              "gaussian", "--function", "h_2", "--x", "0.5"],
-    "maximal-ou-time-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5"],
+    "maximal-poisson-gaussian-bump-d2.json": ["maximal", "--semigroup", "poisson", "--cone",
+                                              "gaussian", "--function", "bump", "--dim", "2",
+                                              "--x", "0.3,0.2"],
+    "maximal-ou-truncated-ball-d3.json": ["maximal", "--function", "ball", "--dim", "3",
+                                          "--x", "0.4,0.1,-0.3", "--cone", "truncated-parabolic"],
+    "maximal-ou-time-ball-d1.json":["maximal", "--function", "ball", "--x", "0.5"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
                                           "--function", "ball", "--x", "0.5"],
     "poisson-apply-subordination-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
