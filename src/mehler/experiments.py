@@ -39,7 +39,7 @@ from .hermite import (
     enumerate_multi_indices,
     generator_apply,
 )
-from .measure import gaussian_norm, hl_maximal
+from .measure import gaussian_norm
 from .ou import (
     maximal_bound_report,
     nontangential_maximal,
@@ -236,17 +236,17 @@ def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> d
     bound_rows = []
     for apex in sorted(config.apexes):
         sup = nontangential_maximal(f, apex, "truncated-parabolic", cfg)
-        ball = hl_maximal(f, apex, cfg)
-        ratio = sup.value / ball.value if ball.value > 0.0 else math.inf
+        rec = maximal_bound_report(f, apex, cfg)
+        mgamma = rec["mgamma"]
+        ratio = sup.value / mgamma if mgamma > 0.0 else math.inf
         cone_rows.append(
             {
                 "apex": apex,
                 "maximal": sup.value,
-                "hl_maximal": ball.value,
+                "hl_maximal": mgamma,
                 "ratio": ratio,
             }
         )
-        rec = maximal_bound_report(f, apex, cfg)
         bound_rows.append({"apex": apex, **rec})
     worst = max(cone_rows, key=lambda r: r["ratio"])
     worst_bound = max(bound_rows, key=lambda r: r["ratio"])

@@ -285,6 +285,13 @@ def as_points(x, dimension: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"points array must have ndim <= 2, got shape {arr.shape}")
 
 
+def _single_point(x, dimension: int) -> np.ndarray:
+    pts, single = as_points(x, dimension)
+    if not single:
+        raise ValueError("expected a single point")
+    return pts[0]
+
+
 @dataclass(frozen=True, eq=False)
 class HermiteSeries:
     """A finite linear combination of normalized Hermite functions.

@@ -1,11 +1,13 @@
 """The gaussian measure, ball averages, L^p norms, and the maximal function.
 
 The measure is gamma_d(dx) = pi^(-d/2) exp(-|x|^2) dx.  Balls are closed;
-ball integrals are deterministic (error function in d = 1, tensor
-Gauss-Legendre masked by the ball in d = 2, 3).  The scope is d <= 3, the
-dimensions of the catalog and of `ExperimentConfig`: ball rules above it
-raise ValueError.  The semigroups of `mehler.ou` and `mehler.poisson` share
-one core there, a decay rate on Hermite chaos plus a mixture of OU times.
+ball integrals are deterministic (error function for the d = 1 measure,
+tensor Gauss-Legendre masked by the ball otherwise). The in-ball node set
+is built once per (d, ball_nodes) on the unit ball and scaled to each ball.
+The scope is d <= 3, the dimensions of the catalog and of `ExperimentConfig`:
+ball rules above it raise ValueError.  The semigroups of `mehler.ou` and
+`mehler.poisson` share one core there, a decay rate on Hermite chaos plus a
+mixture of OU times.
 
 The Hardy-Littlewood maximal operator here is the gaussian one,
 
@@ -38,6 +40,7 @@ from mehler.hermite import (
     QuadratureConfig,
     _coefficients,
     _require_finite,
+    _single_point,
     as_function,
     as_points,
 )
@@ -129,48 +132,51 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _ball_rule(ball: GaussianBall, cfg: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature rule for integrals against gamma_d over a closed ball.
+@lru_cache(maxsize=16)
+def _ball_indices(d: int, n: int) -> np.ndarray:
+    """(d, m) tensor indices, in C order, of the n^d Gauss-Legendre nodes in the unit ball."""
+    sq = _gl_rule(n)[0] ** 2
+    idx = np.array(np.nonzero(sum(np.ix_(*[sq] * d)) <= 1.0))
+    idx.flags.writeable = False
+    return idx
+
+
+def _ball_rule(
+    center: np.ndarray, radius: float, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature rule for integrals against gamma_d over the closed ball B(center, radius).
 
     Returns (points, weights) with sum(weights) ~= gamma_d(ball); the same
     rule is used for the normalizer and the numerator of ball averages so
-    that averaging a constant is exact.
+    that averaging a constant is exact. The in-ball nodes of the tensor
+    Gauss-Legendre rule are chosen once per (d, ball_nodes) on the unit
+    ball (_ball_indices) and scaled to each ball.
     """
-    d = ball.dimension
+    d = len(center)
     if d > 3:
         raise ValueError(f"ball rules are built for d <= 3, got d = {d}")
-    c = ball.center_array()
-    r = ball.radius
     gx, gw = _gl_rule(cfg.ball_nodes)
-    if d == 1:
-        pts = (c[0] + r * gx).reshape(-1, 1)
-        wts = r * gw * np.exp(-pts[:, 0] ** 2) / math.sqrt(math.pi)
-        return pts, wts
-    axes = [c[i] + r * gx for i in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    # coordinate-major (d, n): the returned points are a Fortran-ordered view
-    pts_t = np.stack([g.ravel() for g in grids])
-    wt = r * gw
-    for _ in range(d - 1):
-        wt = np.multiply.outer(wt, r * gw)
-    wts = wt.ravel() * np.exp(-np.sum(pts_t * pts_t, axis=0)) / math.pi ** (d / 2.0)
-    inside = np.sum((pts_t - c[:, None]) ** 2, axis=0) <= r * r
-    # compress keeps the (d, m) result C-ordered; boolean indexing would not
-    return np.compress(inside, pts_t, axis=1).T, wts[inside]
+    idx = _ball_indices(d, cfg.ball_nodes)
+    # coordinate-major (d, m): the returned points are a Fortran-ordered view
+    pts_t = center[:, None] + (radius * gx)[idx]
+    # the product over axes runs left to right, as the tensor product of the 1-d weights
+    wts = np.prod((radius * gw)[idx], axis=0) * np.exp(-np.sum(pts_t * pts_t, axis=0))
+    return pts_t.T, wts / math.pi ** (d / 2.0)
 
 
 def gaussian_ball_measure(ball: GaussianBall, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """gamma_d measure of a closed ball.
 
     d = 1 uses the error function exactly; d = 2, 3 use the masked tensor
-    Gauss-Legendre rule; d > 3 raises ValueError.
+    Gauss-Legendre rule, its in-ball node set built once per (d, ball_nodes)
+    on the unit ball and scaled to this one; d > 3 raises ValueError.
     """
     if math.isinf(ball.radius):
         return 1.0
     if ball.dimension == 1:
         c, r = ball.center[0], ball.radius
         return float(0.5 * (erf(c + r) - erf(c - r)))
-    _, wts = _ball_rule(ball, cfg)
+    _, wts = _ball_rule(ball.center_array(), ball.radius, cfg)
     return float(np.sum(wts))
 
 
@@ -204,18 +210,18 @@ def hl_maximal(
     toward the smallest radius.
     """
     rep = as_function(f)
-    pts_x, _ = as_points(x, rep.dimension)
-    center = pts_x[0]
+    center = _single_point(x, rep.dimension)
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"ball center must be finite, got {tuple(center)}")
     if radii is None:
         radii = cfg.radius_grid.values()
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(radii) == 0 or not np.all(radii > 0):
-        raise ValueError("radii must be a nonempty 1-d array of positive values")
+    if radii.ndim != 1 or len(radii) == 0 or not np.all((radii > 0) & np.isfinite(radii)):
+        raise ValueError("radii must be a nonempty 1-d array of positive finite values")
     rs = np.sort(radii)
     avgs = []
     for r in rs:
-        ball = GaussianBall(tuple(center), float(r))
-        pts, wts = _ball_rule(ball, cfg)
+        pts, wts = _ball_rule(center, float(r), cfg)
         vals = rep.values(pts)
         _require_finite(vals, pts, "integrand")
         # same reduction for numerator and denominator: averaging a constant

@@ -91,8 +91,8 @@ from .hermite import (
     QuadratureConfig,
     SeriesFunction,
     _require_finite,
+    _single_point,
     as_function,
-    as_points,
 )
 from .measure import MaximalEstimate, _section_max, gaussian_norm, hl_maximal
 
@@ -111,13 +111,6 @@ def _decay_pair(t: float) -> tuple[float, float]:
     r = math.exp(-t)
     s = math.sqrt(-math.expm1(-2.0 * t))
     return r, s
-
-
-def _single_point(x, dimension: int) -> np.ndarray:
-    pts, single = as_points(x, dimension)
-    if not single:
-        raise ValueError("expected a single point")
-    return pts[0]
 
 
 def _route_args(f, x, t: float) -> tuple[FunctionRep, float, np.ndarray]:

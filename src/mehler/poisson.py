@@ -44,7 +44,6 @@ from .ou import (
     _cone_maximal,
     _folded_rows,
     _mixture_values,
-    _multiplied,
     _route_args,
     _series_of,
     _time_maximal,
@@ -132,19 +131,14 @@ def poisson_apply_subordination(
 ) -> float:
     """P_t f(x) by quadrature of the u-integral; t > 0 (t = inf gives the mean).
 
-    The inner T_{t^2/4u} evaluations go through the spectral route for series
-    representations and the shifted gaussian quadrature otherwise.
+    The inner T_{t^2/4u} evaluations are the shifted gaussian quadrature for
+    every representation, series included: on a series the spectral factor
+    sum_j omega_j e^{-t^2 k/4u_j} is the identity `bochner_identity_error`
+    checks, so it would not be an independent route.
     """
     f, t, xa = _route_args(f, x, t)
-    series = _series_of(f)
-    if series is not None and not math.isinf(t):
-        u, omega = subordination_rule(DEFAULT_SUBORDINATION)
-
-        def factor(k: int) -> float:
-            return float(np.sum(omega * np.exp(-(t * t * k) / (4.0 * u))))
-
-        return float(_multiplied(series, factor).evaluate(xa))
-    return float(POISSON.values(f, xa[None, :], t, cfg)[0])
+    rows = _folded_rows(*POISSON.mixture(t))
+    return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
 
 
 @lru_cache(maxsize=64)

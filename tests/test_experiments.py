@@ -156,6 +156,20 @@ def test_domination_constant_function_is_exact():
     assert report["max_ratio"] == 1.0
 
 
+def test_domination_takes_one_ball_average_per_radius_per_apex(monkeypatch):
+    # M_gamma f is read from the bound report, not computed a second time
+    from mehler import measure
+
+    calls = []
+    rule = measure._ball_rule
+    monkeypatch.setattr(measure, "_ball_rule", lambda *a: calls.append(a[1]) or rule(*a))
+    cfg = ExperimentConfig(function="one", apexes=((0.0,), (2.0,)))
+    report = run_domination_report(cfg)
+    assert len(calls) == 2 * cfg.quadrature.radius_grid.count
+    for row, bound in zip(report["rows"], report["bound_rows"]):
+        assert row["hl_maximal"] == bound["mgamma"] == 1.0
+
+
 def test_domination_rejects_signed_function():
     with pytest.raises(ValueError, match="f >= 0"):
         run_domination_report(ExperimentConfig(function="h_1", apexes=((0.0,),)))

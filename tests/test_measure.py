@@ -7,6 +7,7 @@ balls in d = 2, 3, and moments of gamma computed by hand.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from mehler import HermiteSeries, PointwiseFunction, QuadratureConfig
 from mehler.measure import (
     GaussianBall,
     MaximalEstimate,
+    _ball_rule,
     gaussian_ball_measure,
     gaussian_density,
     gaussian_norm,
@@ -104,6 +106,37 @@ def test_ball_measure_d3_centered_polar_oracle():
         got = gaussian_ball_measure(GaussianBall((0.0, 0.0, 0.0), r), CFG)
         exact = erf(r) - 2 * r * math.exp(-r * r) / math.sqrt(math.pi)
         assert got == pytest.approx(exact, rel=5e-3)
+
+
+def masked_tensor_rule(center: np.ndarray, r: float, n: int):
+    """The ball rule built per ball: the n^d tensor grid, masked by the ball."""
+    d = center.size
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    grids = np.meshgrid(*[center[i] + r * gx for i in range(d)], indexing="ij")
+    pts_t = np.stack([g.ravel() for g in grids])
+    wt = r * gw
+    for _ in range(d - 1):
+        wt = np.multiply.outer(wt, r * gw)
+    wts = wt.ravel() * np.exp(-np.sum(pts_t * pts_t, axis=0)) / math.pi ** (d / 2.0)
+    inside = np.sum((pts_t - center[:, None]) ** 2, axis=0) <= r * r
+    return pts_t[:, inside].T, wts[inside]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [37, 64, 128])
+def test_ball_rule_is_the_masked_tensor_rule_bit_for_bit(d, n):
+    cfg = replace(CFG, ball_nodes=n)
+    rng = np.random.default_rng(100 * d + n)
+    for r in np.geomspace(1e-3, 8.0, 9):
+        center = rng.uniform(-5.0, 5.0, d)
+        pts, wts = _ball_rule(center, float(r), cfg)
+        want_pts, want_wts = masked_tensor_rule(center, float(r), n)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(wts, want_wts)
+        assert pts.flags.f_contiguous
+        f = PointwiseFunction(d, lambda p: np.abs(np.sin(p[:, 0])) + p[:, -1] ** 2)
+        avg = np.sum(wts * f.values(pts)) / np.sum(wts)
+        assert avg == np.sum(want_wts * f.values(want_pts)) / np.sum(want_wts)
 
 
 def test_ball_measure_monotone_in_radius():
@@ -218,6 +251,24 @@ def test_hl_argmax_belongs_to_grid():
     est = hl_maximal(f, 0.7, CFG, radii=radii)
     assert any(est.argmax == pytest.approx(r, rel=1e-15) for r in radii)
     assert est.grid_size == 12
+
+
+def test_hl_takes_one_finite_center():
+    f = PointwiseFunction(2, lambda p: np.exp(-np.sum(p * p, axis=1)))
+    with pytest.raises(ValueError, match="single point"):
+        hl_maximal(f, [[0.1, 0.2], [2.5, 2.5]], CFG)
+    with pytest.raises(ValueError, match="finite"):
+        hl_maximal(f, [0.1, math.nan], CFG)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("d", [1, 2])
+def test_hl_rejects_non_finite_radii_without_warnings(d, bad):
+    f = PointwiseFunction(d, lambda p: np.exp(-np.sum(p * p, axis=1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            hl_maximal(f, np.zeros(d), CFG, radii=[1.0, bad])
 
 
 def test_maximal_estimate_validation():

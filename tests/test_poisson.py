@@ -19,6 +19,7 @@ from mehler import (
     HermiteSeries,
     PointwiseFunction,
     QuadratureConfig,
+    as_function,
     gauss_hermite_grid,
     hermite_eval,
 )
@@ -165,6 +166,18 @@ def test_split_scheme_cross_check():
         rows = _folded_rows(t * t / (4.0 * u), omega)
         b = float(_mixture_values(f, np.array([[0.4]]), rows, CFG)[0])
         assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_subordination_on_a_series_is_the_mixture_quadrature():
+    # a series takes the same OU-time mixture as a black box, so the route
+    # stays independent of the spectral factor that bochner_identity_error checks
+    s = HermiteSeries(2, {(0, 0): 0.3, (2, 1): 1.0, (0, 3): -0.5})
+    x = np.array([0.4, -0.7])
+    for t in (0.1, 1.5):
+        u, omega = subordination_rule(DEFAULT_SUBORDINATION)
+        rows = _folded_rows(t * t / (4.0 * u), omega)
+        want = float(_mixture_values(as_function(s), x[None, :], rows, CFG)[0])
+        assert poisson_apply_subordination(s, x, t, CFG) == want
 
 
 def test_infinite_time_gives_the_mean():

@@ -23,6 +23,8 @@ COMMANDS = {
                                      "--function", "bump", "--dim", "2", "--apex", "0.3,0.2"],
     "dominate-bump-d2.json": ["dominate", "--dim", "2", "--function", "bump", "--format", "json"],
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
+    "dominate-bump-d3.json": ["dominate", "--dim", "3", "--function", "bump",
+                              "--apex", "0.4,0.1,-0.3", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
     "ou-apply-change_of_var-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
