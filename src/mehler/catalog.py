@@ -50,7 +50,6 @@ class TestFunction:
     nonnegative: bool = False
     max_p: float = math.inf
     reference_norm: Callable[[float], float] | None = field(default=None, compare=False)
-    norm1: float = field(default=math.nan, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -58,10 +57,6 @@ class TestFunction:
         unknown = set(self.class_tags) - set(CLASS_TAGS)
         if unknown:
             raise ValueError(f"unknown class tags {sorted(unknown)}")
-        if math.isnan(self.norm1):
-            object.__setattr__(self, "norm1", self.norm(1.0))
-        if not math.isfinite(self.norm1):
-            raise ValueError(f"{self.name}: L^1(gamma) norm must be finite")
 
     @property
     def dimension(self) -> int:
@@ -152,37 +147,22 @@ def _build_catalog(dimension: int) -> tuple[TestFunction, ...]:
                 class_tags=frozenset({"polynomial"}),
             )
         )
-    entries.append(
-        TestFunction(
-            name="x",
-            rep=_series_rep(d, {_first_axis(d, 1): inv_sqrt2}, "x"),
-            class_tags=frozenset({"polynomial"}),
+    # powers of the first coordinate as exact expansions, degree -> coefficient
+    powers = {
+        "x": ({1: inv_sqrt2}, False),
+        "x2": ({0: 0.5, 2: inv_sqrt2}, True),
+        "x3": ({3: math.sqrt(3.0) / 2.0, 1: 3.0 / (2.0 * math.sqrt(2.0))}, False),
+    }
+    for name, (terms, nonnegative) in powers.items():
+        coeffs = {_first_axis(d, k): c for k, c in terms.items()}
+        entries.append(
+            TestFunction(
+                name=name,
+                rep=_series_rep(d, coeffs, name),
+                class_tags=frozenset({"polynomial"}),
+                nonnegative=nonnegative,
+            )
         )
-    )
-    entries.append(
-        TestFunction(
-            name="x2",
-            rep=_series_rep(
-                d, {_first_axis(d, 0): 0.5, _first_axis(d, 2): inv_sqrt2}, "x2"
-            ),
-            class_tags=frozenset({"polynomial"}),
-            nonnegative=True,
-        )
-    )
-    entries.append(
-        TestFunction(
-            name="x3",
-            rep=_series_rep(
-                d,
-                {
-                    _first_axis(d, 3): math.sqrt(3.0) / 2.0,
-                    _first_axis(d, 1): 3.0 / (2.0 * math.sqrt(2.0)),
-                },
-                "x3",
-            ),
-            class_tags=frozenset({"polynomial"}),
-        )
-    )
     center = np.ones(d)
     entries.append(
         TestFunction(

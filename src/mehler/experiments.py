@@ -501,6 +501,8 @@ def run_verify_suite(
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -508,45 +510,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def convergence_csv(records: list[ConvergenceRecord]) -> str:
-    lines = ["apex,alpha,sup_error,y_star,t_star"]
-    ordered = sorted(records, key=lambda r: (r.apex, r.alpha))
-    for r in ordered:
-        lines.append(
-            ",".join(
-                (_fmt(r.apex), _fmt(r.alpha), _fmt(r.sup_error), _fmt(r.y_star), _fmt(r.t_star))
-            )
-        )
+def _csv(fields: tuple, rows) -> str:
+    """A header of the field names, then each row's fields by `_fmt`."""
+    lines = [",".join(fields)] + [",".join(_fmt(row[k]) for k in fields) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def convergence_csv(records: list[ConvergenceRecord]) -> str:
+    rows = (asdict(r) for r in sorted(records, key=lambda r: (r.apex, r.alpha)))
+    return _csv(("apex", "alpha", "sup_error", "y_star", "t_star"), rows)
 
 
 def contrast_csv(rows: list[dict]) -> str:
-    lines = ["apex,path,t,y,error,in_cone"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r["apex"]),
-                    r["path"],
-                    _fmt(r["t"]),
-                    _fmt(r["y"]),
-                    _fmt(r["error"]),
-                    str(r["in_cone"]).lower(),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(("apex", "path", "t", "y", "error", "in_cone"), rows)
 
 
 def domination_csv(report: dict) -> str:
-    lines = ["apex,maximal,hl_maximal,ratio"]
-    for r in report["rows"]:
-        lines.append(
-            ",".join(
-                (_fmt(r["apex"]), _fmt(r["maximal"]), _fmt(r["hl_maximal"]), _fmt(r["ratio"]))
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(("apex", "maximal", "hl_maximal", "ratio"), report["rows"])
 
 
 def to_json(payload) -> str:

@@ -212,15 +212,16 @@ class QuadratureConfig:
     gh_nodes        Gauss-Hermite nodes per axis (tensorized in dimension d).
     radius_grid     log grid of ball radii for the Hardy-Littlewood supremum.
     time_grid       log grid of semigroup times for the time suprema.
-    ball_nodes      Gauss-Legendre nodes per axis for ball integrals.
+    ball_nodes      polar ball rule: ball_nodes/8 radii per ladder panel, and
+                    ball_nodes (d = 2) or ball_nodes^2/8 (d = 3) directions.
     cross_radial    radial points per cone cross-section (clustered at the rim).
     cross_angular   directions per cross-section: a circle in d = 2, a
                     sphere spiral (at least 4) in d = 3.
 
     The subordination integral of P_t (`mehler.poisson.SubordinationQuadrature`)
     and the panels of its kernel route have fixed rules; `refined` leaves them alone.
-    The block budget of the Gauss-Hermite integrals, _BLOCK_POINTS f-points
-    per call of f, is a constant of this module, not a field.
+    The block budget of the Gauss-Hermite and ball integrals, _BLOCK_POINTS
+    f-points per call of f, is a constant of this module, not a field.
     """
 
     gh_nodes: int = 64

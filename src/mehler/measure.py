@@ -1,9 +1,10 @@
 """The gaussian measure, ball averages, L^p norms, and the maximal function.
 
 The measure is gamma_d(dx) = pi^(-d/2) exp(-|x|^2) dx.  Balls are closed;
-ball integrals are deterministic (error function for the d = 1 measure,
-tensor Gauss-Legendre masked by the ball otherwise). The in-ball node set
-is built once per (d, ball_nodes) on the unit ball and scaled to each ball.
+ball integrals are deterministic: the error function for the d = 1 measure,
+else one polar profile per centre (`_ball_profile`), Gauss-Legendre panels
+on the radius ladder times a sphere rule, whose cumulative sums give every
+radius from one pass of f in blocks of `hermite._BLOCK_POINTS` points.
 The scope is d <= 3, the dimensions of the catalog and of `ExperimentConfig`:
 ball rules above it raise ValueError.  The semigroups of `mehler.ou` and
 `mehler.poisson` share one core there, a decay rate on Hermite chaos plus a
@@ -35,6 +36,7 @@ from typing import Union
 import numpy as np
 from scipy.special import erf
 
+from mehler import hermite
 from mehler.hermite import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -86,9 +88,6 @@ class GaussianBall:
     def dimension(self) -> int:
         return len(self.center)
 
-    def center_array(self) -> np.ndarray:
-        return np.array(self.center, dtype=float)
-
 
 @dataclass(frozen=True)
 class MaximalEstimate:
@@ -132,52 +131,102 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _panel_points(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on the panels [lo_i, hi_i], panel-major."""
+    xs, ws = _gl_rule(order)
+    mids = 0.5 * (hi + lo)
+    halves = 0.5 * (hi - lo)
+    pts = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
+    wts = (halves[:, None] * ws[None, :]).ravel()
+    return pts, wts
+
+
 @lru_cache(maxsize=16)
-def _ball_indices(d: int, n: int) -> np.ndarray:
-    """(d, m) tensor indices, in C order, of the n^d Gauss-Legendre nodes in the unit ball."""
-    sq = _gl_rule(n)[0] ** 2
-    idx = np.array(np.nonzero(sum(np.ix_(*[sq] * d)) <= 1.0))
-    idx.flags.writeable = False
-    return idx
+def _sphere_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d, m) directions on S^(d-1) and their surface weights over pi^(d/2).
 
-
-def _ball_rule(
-    center: np.ndarray, radius: float, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature rule for integrals against gamma_d over the closed ball B(center, radius).
-
-    Returns (points, weights) with sum(weights) ~= gamma_d(ball); the same
-    rule is used for the normalizer and the numerator of ball averages so
-    that averaging a constant is exact. The in-ball nodes of the tensor
-    Gauss-Legendre rule are chosen once per (d, ball_nodes) on the unit
-    ball (_ball_indices) and scaled to each ball.
+    d = 1: -1 and +1. d = 3: n/4 Gauss-Legendre nodes z = cos(theta) times
+    n/2 equispaced angles phi; d = 2 is its ring z = 0 with n angles.
     """
-    d = len(center)
     if d > 3:
         raise ValueError(f"ball rules are built for d <= 3, got d = {d}")
-    gx, gw = _gl_rule(cfg.ball_nodes)
-    idx = _ball_indices(d, cfg.ball_nodes)
-    # coordinate-major (d, m): the returned points are a Fortran-ordered view
-    pts_t = center[:, None] + (radius * gx)[idx]
-    # the product over axes runs left to right, as the tensor product of the 1-d weights
-    wts = np.prod((radius * gw)[idx], axis=0) * np.exp(-np.sum(pts_t * pts_t, axis=0))
-    return pts_t.T, wts / math.pi ** (d / 2.0)
+    if d == 1:
+        dirs, wts = np.array([[-1.0, 1.0]]), np.ones(2)
+    else:
+        n_phi = n if d == 2 else max(1, n // 2)
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        z, wz = (np.zeros(1), np.ones(1)) if d == 2 else _gl_rule(max(1, n // 4))
+        ring = np.sqrt(1.0 - z * z)[:, None]
+        xy = [(ring * np.cos(phi)).ravel(), (ring * np.sin(phi)).ravel()]
+        dirs = np.stack(xy + [np.repeat(z, n_phi)])
+        dirs, wts = dirs[:d], np.repeat(wz, n_phi) * (2.0 * math.pi / n_phi)
+    wts = wts / math.pi ** (d / 2.0)
+    dirs.flags.writeable = False
+    wts.flags.writeable = False
+    return dirs, wts
+
+
+def _ball_profile(values, center: np.ndarray, radii: np.ndarray, cfg: QuadratureConfig):
+    """(integral of |f|, gamma_d mass) of each ball B(center, r), r in radii, in polar form.
+
+    The radius takes ball_nodes/8 Gauss-Legendre nodes on each panel between 0
+    and the points of cfg.radius_grid (continued geometrically past its top);
+    a radius off that ladder adds one panel from the ladder point below it, so
+    its value depends on it alone. f gets blocks of whole radii, or of one
+    radius's directions, of at most _BLOCK_POINTS points; values None skips f.
+    Both sums take the same weights, so f = 1 averages to exactly 1.
+    """
+    d = center.size
+    dirs, sw = _sphere_rule(d, cfg.ball_nodes)
+    order = max(1, cfg.ball_nodes // 8)
+    ladder = cfg.radius_grid.values()
+    # past its top the ladder goes on geometrically: no panel is wider relative to rho
+    ratio = ladder[-1] / ladder[-2]
+    extra = max(0, math.ceil(math.log(radii.max() / ladder[-1], ratio)))
+    edges = np.concatenate([[0.0], ladder, ladder[-1] * ratio ** np.arange(1, extra + 1)])
+    k = np.searchsorted(edges, radii, side="right") - 1
+    off = edges[k] != radii
+    n_ladder = int(k.max())
+    lo = np.concatenate([edges[:n_ladder], edges[k[off]]])
+    hi = np.concatenate([edges[1 : n_ladder + 1], radii[off]])
+    rho, rw = _panel_points(lo, hi, order)
+    rw = rw * rho ** (d - 1)
+    block = hermite._BLOCK_POINTS
+    rows_per_block = max(1, block // sw.size)
+    sums = np.zeros((2, rho.size))
+    for start in range(0, rho.size, rows_per_block):
+        rows = slice(start, start + rows_per_block)
+        for first in range(0, sw.size, block):
+            u, w = dirs[:, first : first + block], sw[first : first + block]
+            # built as (d, rows, directions) so f gets contiguous coordinate columns
+            buf = (center[:, None, None] + rho[None, rows, None] * u[:, None, :]).reshape(d, -1)
+            g = np.exp(-np.sum(buf * buf, axis=0)).reshape(-1, w.size) * w
+            sums[1, rows] += g.sum(axis=1)
+            if values is not None:
+                pts = buf.T
+                vals = values(pts)
+                _require_finite(vals, pts, "integrand")
+                sums[0, rows] += (g * np.abs(vals).reshape(g.shape)).sum(axis=1)
+    panels = (rw * sums).reshape(2, -1, order).sum(axis=2)
+    out = np.concatenate([np.zeros((2, 1)), np.cumsum(panels[:, :n_ladder], axis=1)], axis=1)[:, k]
+    out[:, off] += panels[:, n_ladder:]
+    return out
 
 
 def gaussian_ball_measure(ball: GaussianBall, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """gamma_d measure of a closed ball.
 
-    d = 1 uses the error function exactly; d = 2, 3 use the masked tensor
-    Gauss-Legendre rule, its in-ball node set built once per (d, ball_nodes)
-    on the unit ball and scaled to this one; d > 3 raises ValueError.
+    d = 1 uses the error function exactly; d = 2, 3 take the polar profile
+    of `hl_maximal` (`_ball_profile`), blocked at _BLOCK_POINTS points;
+    d > 3 raises ValueError.
     """
     if math.isinf(ball.radius):
         return 1.0
     if ball.dimension == 1:
         c, r = ball.center[0], ball.radius
         return float(0.5 * (erf(c + r) - erf(c - r)))
-    _, wts = _ball_rule(ball.center_array(), ball.radius, cfg)
-    return float(np.sum(wts))
+    _, mass = _ball_profile(None, np.array(ball.center), np.array([ball.radius]), cfg)
+    return float(mass[0])
 
 
 def gaussian_norm(f, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -206,26 +255,25 @@ def hl_maximal(
     """Gaussian Hardy-Littlewood maximal function of |f| at x over a radius grid.
 
     The returned estimate is the max over the grid (default: cfg.radius_grid)
-    of the gamma-average of |f| over the closed ball B(x, r).  Ties are broken
-    toward the smallest radius.
+    of the gamma-average of |f| over the closed ball B(x, r), every radius
+    from one polar profile of f about x.  Ties are broken toward the
+    smallest radius.  A ball whose gamma-mass underflows to 0 raises
+    ValueError.
     """
     rep = as_function(f)
     center = _single_point(x, rep.dimension)
     if not np.all(np.isfinite(center)):
         raise ValueError(f"ball center must be finite, got {tuple(center)}")
-    if radii is None:
-        radii = cfg.radius_grid.values()
-    radii = np.asarray(radii, dtype=float)
+    radii = np.asarray(cfg.radius_grid.values() if radii is None else radii, dtype=float)
     if radii.ndim != 1 or len(radii) == 0 or not np.all((radii > 0) & np.isfinite(radii)):
         raise ValueError("radii must be a nonempty 1-d array of positive finite values")
     rs = np.sort(radii)
-    avgs = []
-    for r in rs:
-        pts, wts = _ball_rule(center, float(r), cfg)
-        vals = rep.values(pts)
-        _require_finite(vals, pts, "integrand")
-        # same reduction for numerator and denominator: averaging a constant
-        # is then exact, not merely close
-        avgs.append(float(np.sum(wts * np.abs(vals)) / np.sum(wts)))
-    value, arg = _section_max((-math.inf, None), avgs, lambda i: float(rs[i]))
+    num, mass = _ball_profile(rep.values, center, rs, cfg)
+    if not np.all(mass > 0.0):
+        r = float(rs[np.argmin(mass > 0.0)])
+        raise ValueError(
+            f"the gaussian mass of the ball of radius {r} about {tuple(center.tolist())} "
+            "underflows to 0, so its average is undefined"
+        )
+    value, arg = _section_max((-math.inf, None), num / mass, lambda i: float(rs[i]))
     return MaximalEstimate(value=value, argmax=arg, grid_size=len(radii))

@@ -63,7 +63,7 @@ Blocks are built coordinate-major: a C-contiguous (d, n) buffer whose
 transpose, a Fortran-ordered (n, d) view, is what f receives, so a row
 norm inside f adds d contiguous columns instead of reducing short rows.
 The same holds for the node blocks of `hermite._coefficients` (norms,
-coefficients, projections) and the masked ball rule of `hl_maximal`. f
+coefficients, projections) and the polar ball profile of `hl_maximal`. f
 therefore receives a float (n, d) array that may be Fortran-ordered;
 evaluators must not assume C-contiguity.
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig, as_function
-from .measure import MaximalEstimate, _gl_rule
+from .measure import MaximalEstimate, _panel_points
 from .ou import (
     Semigroup,
     _cone_maximal,
@@ -75,15 +75,6 @@ class SubordinationQuadrature:
 DEFAULT_SUBORDINATION = SubordinationQuadrature()
 
 
-def _panel_points(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = _gl_rule(order)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mids[:, None] + halves[:, None] * xs[None, :]).ravel()
-    wts = (halves[:, None] * ws[None, :]).ravel()
-    return pts, wts
-
-
 @lru_cache(maxsize=8)
 def _square_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # v-panels: one from 0, a geometric climb through the singular scale,
@@ -92,7 +83,7 @@ def _square_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate(
         [[0.0], np.geomspace(1e-6, 1.2, 16), np.linspace(1.2, 6.0, 5)[1:]]
     )
-    v, w = _panel_points(edges, order)
+    v, w = _panel_points(edges[:-1], edges[1:], order)
     u = v * v
     omega = 2.0 / math.sqrt(math.pi) * w * np.exp(-u)
     u.flags.writeable = False
@@ -149,7 +140,7 @@ def _kernel_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
         empty = np.empty(0)
         return empty, empty
     edges = np.geomspace(lo, _KERNEL_L_HI, _KERNEL_PANELS + 1)
-    L, w = _panel_points(edges, _KERNEL_PANEL_ORDER)
+    L, w = _panel_points(edges[:-1], edges[1:], _KERNEL_PANEL_ORDER)
     W = w * (t / (2.0 * math.sqrt(math.pi))) * L**-1.5 * np.exp(-(t * t) / (4.0 * L))
     L.flags.writeable = False
     W.flags.writeable = False

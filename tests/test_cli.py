@@ -5,6 +5,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -207,6 +208,15 @@ def test_dominate_json_report(capsys):
     report = json.loads(out)
     assert report["max_ratio"] > 1.0
     assert report["bound_rows"][0]["ratio"] < 1.0
+
+
+def test_dominate_far_apex_names_the_empty_ball(capsys):
+    # the gamma-mass of B(30, 1e-3) underflows to 0: no 0/0 and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dominate", "--function", "bump", "--apex", "30")
+    assert code == 2 and out == ""
+    assert "radius 0.001 about (30.0,) underflows to 0" in err
 
 
 def test_contrast_csv(capsys):

@@ -21,6 +21,7 @@ import mehler.ou as ou_module
 from mehler import PointwiseFunction, QuadratureConfig, catalog_entry
 from mehler.cones import ConeSpec
 from mehler.hermite import LogGrid
+from mehler.measure import hl_maximal
 from mehler.ou import (
     OU,
     _TILT_CAP,
@@ -248,8 +249,9 @@ def test_refined_ladders_contain_the_default_ones():
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_bump_suprema_do_not_fall_under_refinement(dimension):
-    # refined(2) keeps every default time and, in d <= 2, every cone cell;
-    # bump's Gauss-Hermite values are exact to rounding at 64 and 128 nodes
+    # refined(2) keeps every default time and radius and, in d <= 2, every
+    # cone cell; bump's Gauss-Hermite values and polar ball averages are
+    # exact to rounding at the default and refined rules
     f = catalog_entry("bump", dimension).rep
     x = np.full(dimension, 1.5)
     fine_cfg = CFG.refined(2)
@@ -257,6 +259,7 @@ def test_bump_suprema_do_not_fall_under_refinement(dimension):
         "time": lambda cfg: ou_maximal(f, x, cfg),
         "parabolic-gaussian": lambda cfg: nontangential_maximal(f, x, "parabolic-gaussian", cfg),
         "truncated-parabolic": lambda cfg: nontangential_maximal(f, x, "truncated-parabolic", cfg),
+        "ball": lambda cfg: hl_maximal(f, x, cfg),
     }
     for name, sup in suprema.items():
         coarse, fine = sup(CFG), sup(fine_cfg)

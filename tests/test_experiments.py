@@ -157,15 +157,18 @@ def test_domination_constant_function_is_exact():
 
 
 def test_domination_takes_one_ball_average_per_radius_per_apex(monkeypatch):
-    # M_gamma f is read from the bound report, not computed a second time
+    # M_gamma f is read from the bound report, not computed a second time,
+    # and every radius of one apex comes from one ball profile
     from mehler import measure
 
     calls = []
-    rule = measure._ball_rule
-    monkeypatch.setattr(measure, "_ball_rule", lambda *a: calls.append(a[1]) or rule(*a))
+    profile = measure._ball_profile
+    monkeypatch.setattr(
+        measure, "_ball_profile", lambda *a: calls.append(a[2].size) or profile(*a)
+    )
     cfg = ExperimentConfig(function="one", apexes=((0.0,), (2.0,)))
     report = run_domination_report(cfg)
-    assert len(calls) == 2 * cfg.quadrature.radius_grid.count
+    assert calls == [cfg.quadrature.radius_grid.count] * 2
     for row, bound in zip(report["rows"], report["bound_rows"]):
         assert row["hl_maximal"] == bound["mgamma"] == 1.0
 

@@ -582,11 +582,11 @@ def test_mixture_blocks_are_coordinate_major(dimension):
     assert all(f_contiguous for f_contiguous, _ in seen)
 
 
-# one rule of 64^d nodes: d = 2 fits in one block, d = 3 splits into 16
-RULE_BLOCKS = {2: [(4096, 2)], 3: [(16384, 3)] * 16}
+# one rule of 64^d nodes: d <= 2 fits in one block, d = 3 splits into 16
+RULE_BLOCKS = {1: [(64, 1)], 2: [(4096, 2)], 3: [(16384, 3)] * 16}
 
 
-@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_rule_blocks_are_coordinate_major(dimension):
     x = np.full(dimension, 0.2)
     f, seen = layout_spy(dimension)
@@ -601,12 +601,13 @@ def test_rule_blocks_are_coordinate_major(dimension):
         integral()
         assert seen == [(True, shape) for shape in RULE_BLOCKS[dimension]]
     assert all(n <= hermite_module._BLOCK_POINTS for _, (n, _) in seen)
-    seen.clear()
-    radii = (0.1, 0.5, 2.0)
-    hl_maximal(f, x, CFG, radii=radii)
-    assert len(seen) == len(radii)
-    for f_contiguous, (n, d) in seen:
-        assert f_contiguous and d == dimension and 1 < n <= CFG.ball_nodes ** dimension
+    # the ball profile: whole radii of the sphere rule, or slices of one
+    for cfg in (CFG, CFG.refined(2)):
+        for radii in (None, (0.1, 0.5, 2.0)):
+            seen.clear()
+            hl_maximal(f, x, cfg, radii=radii)
+            assert seen and all(f_contiguous and d == dimension for f_contiguous, (_, d) in seen)
+            assert all(1 < n <= hermite_module._BLOCK_POINTS for _, (n, _) in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ COMMANDS = {
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "dominate-bump-d3.json": ["dominate", "--dim", "3", "--function", "bump",
                               "--apex", "0.4,0.1,-0.3", "--format", "json"],
+    "dominate-ball-d1.json": ["dominate", "--function", "ball", "--apex", "-1.0",
+                              "--apex", "1.0", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
     "ou-apply-change_of_var-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
