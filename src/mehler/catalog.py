@@ -10,9 +10,9 @@ The catalog carries, per dimension:
   spike         (1 + |u|)^{-(d+1)} e^{|u|^2/2}, unbounded but in L^1(gamma)
 
 Each entry knows its integrability ceiling (spike leaves L^p above p = 2)
-and carries an L^p norm reference: closed forms where they exist, adaptive
-radial quadrature for the spike. Gauss-Hermite norms are exact for the
-polynomial entries, so those need no override.
+and carries an L^p norm reference: closed forms where they exist, a radial
+composite Gauss-Legendre rule for the spike. Gauss-Hermite norms are exact
+for the polynomial entries, so those need no override.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hermite import (
     DEFAULT_CONFIG,
@@ -33,7 +32,7 @@ from .hermite import (
     QuadratureConfig,
     enumerate_multi_indices,
 )
-from .measure import gaussian_norm
+from .measure import _panel_points, gaussian_norm
 
 CLASS_TAGS = ("polynomial", "bounded-continuous", "indicator", "L1-only")
 
@@ -94,6 +93,11 @@ def _unit_ball_mass(dimension: int) -> float:
     raise ValueError("closed ball mass known for d <= 3 only")
 
 
+# composite Gauss-Legendre rule of the spike's radial integral on [0, 1)
+_SPIKE_PANELS = 40
+_SPIKE_ORDER = 20
+
+
 @lru_cache(maxsize=32)
 def _spike_norm_value(dimension: int, p: float) -> float:
     # radial reduction of int (1+|u|)^{-p(d+1)} e^{(p/2-1)|u|^2} dgamma
@@ -101,10 +105,12 @@ def _spike_norm_value(dimension: int, p: float) -> float:
     power = p * (dimension + 1)
     coef = p / 2.0 - 1.0
 
-    def integrand(r: float) -> float:
-        return r ** (dimension - 1) * (1.0 + r) ** -power * math.exp(coef * r * r)
-
-    val, _ = quad(integrand, 0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=400)
+    # on r = x / (1 - x): 1 + r = 1 / (1 - x) and dr = dx / (1 - x)^2
+    edges = np.linspace(0.0, 1.0, _SPIKE_PANELS + 1)
+    x, w = _panel_points(edges[:-1], edges[1:], _SPIKE_ORDER)
+    r = x / (1.0 - x)
+    vals = r ** (dimension - 1) * (1.0 - x) ** (power - 2.0) * np.exp(coef * r * r)
+    val = float(w @ vals)
     return (surface / math.pi ** (dimension / 2.0) * val) ** (1.0 / p)
 
 

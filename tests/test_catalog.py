@@ -87,6 +87,22 @@ def test_spike_norm_reference_cross_check():
     assert entry.norm(1.0) == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spike_norm_matches_adaptive_quadrature(d):
+    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]
+    for p in (1.0, 1.5, 2.0):
+        val, _ = quad(
+            lambda r: r ** (d - 1) * (1.0 + r) ** -(p * (d + 1)) * math.exp((p / 2.0 - 1.0) * r * r),
+            0.0,
+            math.inf,
+            epsabs=1e-14,
+            epsrel=1e-13,
+            limit=400,
+        )
+        ref = (surface / math.pi ** (d / 2.0) * val) ** (1.0 / p)
+        assert catalog_entry("spike", d).norm(p) == pytest.approx(ref, rel=1e-13)
+
+
 def test_spike_values_match_formula():
     entry = catalog_entry("spike", 2)
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])

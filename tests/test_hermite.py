@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -169,6 +170,37 @@ def test_multi_index_validation():
 # ---------------------------------------------------------------------------
 # quadrature grid
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_gh_rule_matches_mpmath(n):
+    with mpmath.workdps(40):
+        ref_x, ref_w = mpmath.gauss_quadrature(n, "hermite")
+    ref_x, ref_w = np.array([float(v) for v in ref_x]), np.array([float(v) for v in ref_w])
+    order = np.argsort(ref_x)
+    ref_x, ref_w = ref_x[order], ref_w[order]
+    x, w = hermite_module._gh_rule_1d(n)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14
+    assert np.max(np.abs(w / ref_w - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [128, 151, 256, 1024])
+def test_gh_rule_matches_scipy(n):
+    ref_x, ref_w = roots_hermite(n)
+    x, w = hermite_module._gh_rule_1d(n)
+    assert np.max(np.abs(x - ref_x)) <= 1e-13
+    # weights below 1e-290 are subnormal or zero on either side
+    big = ref_w > 1e-290
+    assert np.array_equal(big, w > 1e-290)
+    assert np.max(np.abs(w[big] / ref_w[big] - 1.0)) <= 2e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 64, 128, 151, 256, 1024])
+def test_gh_rule_is_symmetric_and_sums_to_sqrt_pi(n):
+    x, w = hermite_module._gh_rule_1d(n)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - math.sqrt(math.pi)) <= 1e-14
 
 
 def test_gamma_weights_normalized():

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,28 @@ def test_ball_measure_d1_quadrature_cross_check():
     oracle = np.sum(np.exp(-mid * mid)) * h / math.sqrt(math.pi)
     got = gaussian_ball_measure(GaussianBall((c,), r))
     assert got == pytest.approx(oracle, abs=1e-10)
+
+
+def test_ball_measure_d1_far_centre_keeps_its_digits():
+    # erf(c + r) - erf(c - r) cancels to 0.0 here; the mass is 1.92e-20 (mpmath)
+    for c in (7.0, -7.0):
+        got = gaussian_ball_measure(GaussianBall((c,), 0.5))
+        assert got == pytest.approx(1.9210727752356307e-20, rel=1e-13)
+
+
+@pytest.mark.parametrize("r", [1e-6, 0.01, 0.37, 1.0, math.pi, 7.0])
+def test_ball_measure_d1_matches_mpmath(r):
+    # (erf(c + r) - erf(c - r)) / 2 at 400 digits: every mass here is above
+    # 1e-300, so the difference keeps at least 100 of them
+    centres = np.concatenate([np.linspace(-20.0, 20.0, 41), [-16.574033314255026, 0.6696073048545479]])
+    worst = 0.0
+    with mpmath.workdps(400):
+        for c in centres:
+            mc = mpmath.mpf(float(c))
+            ref = float((mpmath.erf(mc + r) - mpmath.erf(mc - r)) / 2)
+            got = gaussian_ball_measure(GaussianBall((float(c),), r))
+            worst = max(worst, abs(got / ref - 1.0))
+    assert worst <= 1e-13
 
 
 def test_ball_measure_d2_centered_polar_oracle():
