@@ -2,10 +2,12 @@
 
 Subcommands: hermite-eval, coeff, ou-apply, poisson-apply, maximal,
 converge, contrast, dominate, verify.  A flat key=value config file can
-preload any flag (``--config run.cfg``); flags given on the command line
-override the file.  Tabular results go to --out or stdout as CSV (header
-row always present) or JSON; verify always emits JSON and exits nonzero
-when any invariant fails.
+preload any optional flag of its subcommand (``--config run.cfg``): a key
+names a long flag, its value parses like the flag's, a key that names no
+such flag is an error, and flags given on the command line override the
+file.  Tabular results go to --out or stdout as CSV (header row always
+present) or JSON; verify always emits JSON and exits nonzero when any
+invariant fails.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from .experiments import (
     run_verify_suite,
     to_json,
 )
-from .hermite import DEFAULT_CONFIG, fourier_hermite_coeff, hermite_eval
+from .hermite import DEFAULT_CONFIG, SeriesFunction, fourier_hermite_coeff, hermite_eval
 from .ou import OU_ROUTES, nontangential_maximal, ou_apply, ou_maximal
 from .poisson import POISSON_ROUTES, poisson_apply, poisson_maximal, poisson_nontangential_maximal
 
-# config-file keys mirror the long flags; values parse like the flag would
+# config-file keys that may repeat: the repeatable (append) flags
 _LIST_KEYS = {"apex"}
 
 
@@ -75,24 +77,26 @@ def load_config_file(path: str) -> dict:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key=value file preloading any flag")
-    p.add_argument("--dim", type=int, help="ambient dimension (1, 2, or 3)")
+    p.add_argument("--config", help="flat key=value file preloading any optional flag")
+    p.add_argument("--dim", type=int, default=1, help="ambient dimension (1, 2, or 3)")
     p.add_argument("--gh-nodes", type=int, dest="gh_nodes", help="Gauss-Hermite nodes per axis")
-    p.add_argument("--seed", type=int, help="seed of the verify suite's random samples")
+    p.add_argument("--seed", type=int, default=20240814, help="seed of the verify suite")
 
 
 def _add_experiment(p: argparse.ArgumentParser):
     _add_common(p)
-    p.add_argument("--function", help="catalog entry name")
-    p.add_argument("--semigroup", choices=SEMIGROUPS)
-    p.add_argument("--cone", choices=CONE_KINDS)
+    p.add_argument("--function", default="one", help="catalog entry name")
+    p.add_argument("--semigroup", choices=SEMIGROUPS, default="ou")
+    p.add_argument("--cone", choices=CONE_KINDS, default="parabolic-gaussian")
     p.add_argument("--eta", type=float, help="relative aperture of the path, in [0, 1)")
     p.add_argument("--decay", type=float, help="geometric time decay, in (0, 1)")
     p.add_argument("--apex", action="append", help="apex point, comma-separated; repeatable")
     p.add_argument("--path-points", type=int, dest="path_points", help="points per path")
     p.add_argument("--alphas", help="comma-separated decreasing scale grid")
     p.add_argument("--out", help="write output here instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
+    p.add_argument(
+        "--format", choices=("csv", "json"), default="csv", dest="fmt", help="output format"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "maximal functions, and cone-convergence experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("hermite-eval", help="evaluate a normalized Hermite function")
     _add_common(p)
@@ -144,73 +149,70 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
     _add_common(p)
-    p.add_argument("--level", choices=VERIFY_LEVELS, help="fast (< 60 s) or full")
+    p.add_argument("--level", choices=VERIFY_LEVELS, default="fast", help="fast (< 60 s) or full")
     p.add_argument("--out", help="write the JSON report here as well as stdout")
 
     return parser
 
 
-_CONVERTERS = {
-    "dim": int,
-    "gh_nodes": int,
-    "seed": int,
-    "eta": float,
-    "decay": float,
-    "path_points": int,
-    "exponent": float,
-    "t": float,
-    "refine": int,
-}
+def _file_defaults(sub: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The --config file's values, by the dest of the subcommand flag each key names.
 
-
-def _effective(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        raw = file_values[key]
-        if key in _LIST_KEYS:
-            return raw
-        return _CONVERTERS.get(key, str)(raw)
-    return default
+    A key names an optional long flag ("path-points" or "path_points"); its
+    value converts and checks like the flag's. The values become the
+    subcommand's defaults, so flags on the command line win; a repeatable
+    flag given there drops the file's list.
+    """
+    out = {}
+    for key, raw in load_config_file(args.config).items():
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.required or action.dest in ("config", "help"):
+            raise ValueError(f"{args.config}: {key!r} names no optional flag of {args.command}")
+        try:
+            values = [(action.type or str)(v) for v in (raw if isinstance(raw, list) else [raw])]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{args.config}: {key}: {exc}") from exc
+        if action.choices is not None and not set(values) <= set(action.choices):
+            raise ValueError(f"{args.config}: {key} must be one of {list(action.choices)}")
+        if not isinstance(raw, list):
+            out[action.dest] = values[0]
+        elif getattr(args, action.dest) is None:
+            out[action.dest] = values
+    return out
 
 
 def _quadrature(args) -> "object":
-    gh = _effective(args, "gh_nodes")
+    gh = args.gh_nodes
     return DEFAULT_CONFIG if gh is None else replace(DEFAULT_CONFIG, gh_nodes=gh)
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    apexes = _effective(args, "apex")
-    dim = _effective(args, "dim", 1)
+    apexes, dim = args.apex, args.dim
     if apexes is None:
         apexes = ["0.0" if dim == 1 else ",".join(["0.0"] * dim)]
     kwargs = dict(
         dimension=dim,
-        semigroup=_effective(args, "semigroup", "ou"),
-        function=_effective(args, "function", "one"),
+        semigroup=args.semigroup,
+        function=args.function,
         apexes=tuple(_parse_floats(a) for a in apexes),
-        cone=_effective(args, "cone", "parabolic-gaussian"),
+        cone=args.cone,
         quadrature=_quadrature(args),
     )
     for key in ("eta", "decay", "path_points", "exponent"):
-        val = _effective(args, key)
+        val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
-    alphas = _effective(args, "alphas")
+    alphas = args.alphas
     if alphas is not None:
         kwargs["alphas"] = _parse_floats(alphas)
     return ExperimentConfig(**kwargs)
 
 
 def _emit(args, text: str) -> None:
-    out = _effective(args, "out")
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(args.out).write_text(text)
 
 
 def _cmd_hermite_eval(args) -> int:
@@ -221,34 +223,30 @@ def _cmd_hermite_eval(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    dim = _effective(args, "dim", 1)
     beta = _parse_ints(args.beta)
-    entry = catalog_entry(args.function, dim)
+    entry = catalog_entry(args.function, args.dim)
     print(repr(fourier_hermite_coeff(entry.rep, beta, _quadrature(args))))
     return 0
 
 
 def _cmd_apply(args) -> int:
-    dim = _effective(args, "dim", 1)
-    entry = catalog_entry(args.function, dim)
+    entry = catalog_entry(args.function, args.dim)
     x = _parse_floats(args.x)
-    if len(x) != dim:
-        raise ValueError(f"x: expected {dim} coordinates, got {len(x)}")
-    cfg = _quadrature(args)
-    if args.command == "ou-apply":
-        value = ou_apply(entry.rep, x, args.t, args.route, cfg)
-    else:
-        value = poisson_apply(entry.rep, x, args.t, args.route, cfg)
+    if len(x) != args.dim:
+        raise ValueError(f"x: expected {args.dim} coordinates, got {len(x)}")
+    if args.route == "spectral" and not isinstance(entry.rep, SeriesFunction):
+        raise ValueError("spectral route needs a Hermite series representation")
+    apply = ou_apply if args.command == "ou-apply" else poisson_apply
+    value = apply(entry.rep, x, args.t, args.route, _quadrature(args))
     print(repr(float(value)))
     return 0
 
 
 def _cmd_maximal(args) -> int:
-    dim = _effective(args, "dim", 1)
-    entry = catalog_entry(args.function, dim)
+    entry = catalog_entry(args.function, args.dim)
     x = _parse_floats(args.x)
-    if len(x) != dim:
-        raise ValueError(f"x: expected {dim} coordinates, got {len(x)}")
+    if len(x) != args.dim:
+        raise ValueError(f"x: expected {args.dim} coordinates, got {len(x)}")
     cfg = _quadrature(args)
     if args.cone is None:
         if args.semigroup == "ou":
@@ -271,7 +269,7 @@ def _cmd_maximal(args) -> int:
 def _cmd_converge(args) -> int:
     config = _experiment_config(args)
     records = run_convergence(config)
-    if _effective(args, "fmt", "csv") == "csv":
+    if args.fmt == "csv":
         _emit(args, convergence_csv(records))
     else:
         _emit(args, to_json(sorted(records, key=lambda r: (r.apex, r.alpha))))
@@ -281,7 +279,7 @@ def _cmd_converge(args) -> int:
 def _cmd_contrast(args) -> int:
     config = _experiment_config(args)
     rows = run_tangential_contrast(config)
-    if _effective(args, "fmt", "csv") == "csv":
+    if args.fmt == "csv":
         _emit(args, contrast_csv(rows))
     else:
         _emit(args, to_json(rows))
@@ -290,8 +288,8 @@ def _cmd_contrast(args) -> int:
 
 def _cmd_dominate(args) -> int:
     config = _experiment_config(args)
-    report = run_domination_report(config, refine_factor=_effective(args, "refine", 1))
-    if _effective(args, "fmt", "csv") == "csv":
+    report = run_domination_report(config, refine_factor=args.refine)
+    if args.fmt == "csv":
         _emit(args, domination_csv(report))
     else:
         _emit(args, to_json(report))
@@ -299,14 +297,11 @@ def _cmd_dominate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    level = _effective(args, "level", "fast")
-    seed = _effective(args, "seed", 20240814)
-    report = run_verify_suite(level, _quadrature(args), seed=seed)
+    report = run_verify_suite(args.level, _quadrature(args), seed=args.seed)
     text = to_json(report)
     sys.stdout.write(text)
-    out = _effective(args, "out")
-    if out is not None:
-        Path(out).write_text(text)
+    if args.out is not None:
+        Path(args.out).write_text(text)
     return 0 if report["pass"] else 1
 
 
@@ -326,12 +321,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        file_values = {} if args.config is None else load_config_file(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args._file_values = file_values
+    if args.config is not None:
+        sub = parser.commands[args.command]
+        try:
+            sub.set_defaults(**_file_defaults(sub, args))
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError) as exc:

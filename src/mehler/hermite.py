@@ -508,21 +508,36 @@ def _node_blocks(dimension: int, cfg: QuadratureConfig):
         yield nodes[lo : lo + _BLOCK_POINTS], wts[lo : lo + _BLOCK_POINTS]
 
 
+def _gh_blocks(values: Callable, centres: np.ndarray, scales: np.ndarray, dimension: int,
+               cfg: QuadratureConfig, what: str = "integrand"):
+    """f on c + s*nodes of the rule of cfg for each anchor (c, s), by node slice.
+
+    Yields (points, values shaped (anchors, slice nodes), weights) per view
+    of _node_blocks, f taking every anchor of the call in one block: a
+    caller packs at most _BLOCK_POINTS // n^d whole anchors into a call, or
+    one when its rule alone exceeds _BLOCK_POINTS. f gets a Fortran-ordered
+    (m, d) view of a C-contiguous (d, m) buffer, so a row norm inside f adds
+    d contiguous columns instead of reducing short rows.
+    """
+    for nodes, wts in _node_blocks(dimension, cfg):
+        pts = centres.T[:, :, None] + scales[None, :, None] * nodes.T[:, None, :]
+        pts = pts.reshape(dimension, -1).T
+        vals = values(pts)
+        _require_finite(vals, pts, what)
+        yield pts, vals.reshape(scales.size, -1), wts
+
+
 def _coefficients(values: Callable, dimension: int, betas, cfg: QuadratureConfig) -> np.ndarray:
     """<g, h_beta> in L^2(gamma_d) for each beta, g given by values(points).
 
-    values gets a Fortran-ordered copy of each node block (a row slice of
-    the cached grid is not Fortran-ordered). Each block adds
+    g is taken by _gh_blocks at the one anchor (0, 1). Each block adds
     np.dot(weights, g * h_beta) to a sum that starts at -0.0, the exact
     identity of +, so one block gives np.dot's value bit for bit.
     """
     out = np.full(len(betas), -0.0)
-    for nodes, wts in _node_blocks(dimension, cfg):
-        pts = np.asfortranarray(nodes)
-        vals = values(pts)
-        _require_finite(vals, pts, "integrand")
+    for pts, vals, wts in _gh_blocks(values, np.zeros((1, dimension)), np.ones(1), dimension, cfg):
         for i, row in enumerate(_hermite_rows([(b, 1.0) for b in betas], pts)):
-            out[i] += np.dot(wts, vals * row)
+            out[i] += np.dot(wts, vals[0] * row)
     return out
 
 

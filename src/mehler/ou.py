@@ -24,18 +24,18 @@ The t -> 0 blowup of the kernel normalization is never evaluated: the
 substitution stays well-conditioned down to t = 0 and covers t = +inf
 (where T_t f collapses to the gamma-mean of f).
 
-The time suprema, paths, transforms and norms evaluate a black-box T_t
-value, or a weighted mixture sum_k w_k T_{t_k} f that the Poisson routes
-reduce to, with one shifted Gauss-Hermite evaluator, `_mixture_values`. It
-folds the times whose integrals are equal first (see _folded_rows), so
-each distinct integral is computed once. It calls f on blocks of at most
-`hermite._BLOCK_POINTS` = 2^14 points, the budget of every Gauss-Hermite
-integral of the package; when one row has more nodes than that (d = 3 at
-64 nodes per axis) it takes the node slices of `hermite._node_blocks`. It
-folds each block into one accumulator per point. Its working memory is
-therefore a block, under 0.4 MB of coordinates in d = 3 plus f's own
-temporaries, next to the cached GH grid (8.4 MB in d = 3 at 64 nodes); it
-does not grow with the number of points or times.
+Every quadrature value of a black-box f takes f on c + s*nodes of one
+Gauss-Hermite rule, for a list of anchors (c, s), through the walker
+`hermite._gh_blocks`: blocks of at most `hermite._BLOCK_POINTS` = 2^14
+points, one anchor over node slices when its rule alone exceeds that (d =
+3 at 64 nodes per axis). The working memory is a block, under 0.4 MB of
+coordinates in d = 3, next to the cached GH grid (8.4 MB); it does not
+grow with the number of points or times. f gets a Fortran-ordered (n, d)
+view, as from the polar ball profile of `hl_maximal`: evaluators must not
+assume C-contiguity. The time suprema, paths, transforms and norms reduce
+to a weighted mixture sum_k w_k T_{t_k} f, one shifted integral per (row,
+point) in `_mixture_values`, which folds the times whose integrals are
+equal first (see _folded_rows).
 
 Cone suprema take a different rule for the cells of a cross-section at
 apex x, `_section_values`. With c = r x and delta = r(y - x)/s for a row
@@ -57,15 +57,9 @@ ball indicator and the spike, per (row, cell) integral against closed
 forms and a 200-node shifted rule, the tilted rule errs like the shifted
 one up to |delta| = 2; above it its error on the spike grows to 1.5-2x
 the shifted rule's, and above 4 to orders of magnitude more in d = 3.
+Nor do far pairs share anchors: on a lattice of spacing h about r x, h in
+[0.25, 2], they erred 2.2-5.3x the shifted rule at the spike's kink, d = 1.
 Series inputs keep the spectral route.
-
-Blocks are built coordinate-major: a C-contiguous (d, n) buffer whose
-transpose, a Fortran-ordered (n, d) view, is what f receives, so a row
-norm inside f adds d contiguous columns instead of reducing short rows.
-The same holds for the node blocks of `hermite._coefficients` (norms,
-coefficients, projections) and the polar ball profile of `hl_maximal`. f
-therefore receives a float (n, d) array that may be Fortran-ordered;
-evaluators must not assume C-contiguity.
 
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
@@ -90,7 +84,6 @@ from .hermite import (
     PointwiseFunction,
     QuadratureConfig,
     SeriesFunction,
-    _require_finite,
     _single_point,
     as_function,
 )
@@ -149,14 +142,11 @@ def _mixture_values(
     """sum_k w_k T_{t_k} f at each row of points, by shifted gaussian quadrature.
 
     rows is the (r, s, w) triple of _folded_rows. Each (row, point) pair is
-    an integral with centre r_k x_p and scale s_k. Pairs are taken
-    row-major, so each point's terms are summed in the order of the rows; f
-    is called on blocks of whole pairs, or on the node slices of
-    `hermite._node_blocks`, one pair at a time, when a pair alone exceeds
-    _BLOCK_POINTS.
+    the anchor (r_k x_p, s_k) of one integral. Pairs are taken row-major,
+    so each point's terms are summed in the order of the rows, and packed
+    into the blocks of `hermite._gh_blocks`.
     """
     d = f.dimension
-    blocks = list(hermite._node_blocks(d, cfg))
     r, s, w = rows
     n_points = points.shape[0]
     rows_per_block = max(1, hermite._BLOCK_POINTS // cfg.gh_nodes**d)
@@ -164,15 +154,11 @@ def _mixture_values(
     acc = np.zeros(n_points)
     for start in range(0, n_rows, rows_per_block):
         k, p = np.divmod(np.arange(start, min(start + rows_per_block, n_rows)), n_points)
-        centres = r[k, None] * points[p]
+        blocks = hermite._gh_blocks(f.values, r[k, None] * points[p], s[k], d, cfg,
+                                    "semigroup integrand")
         row_vals = np.zeros(k.size)
-        for nodes, wts in blocks:
-            # built as (d, rows, nodes) so f gets contiguous coordinate columns
-            shifted = centres.T[:, :, None] + s[None, k, None] * nodes.T[:, None, :]
-            shifted = shifted.reshape(d, -1).T
-            vals = f.values(shifted)
-            _require_finite(vals, shifted, "semigroup integrand")
-            row_vals += vals.reshape(k.size, -1) @ wts
+        for _, vals, wts in blocks:
+            row_vals += vals @ wts
         np.add.at(acc, p, w[k] * row_vals)
     return acc
 
@@ -182,14 +168,14 @@ def _tilted_integrals(
 ) -> np.ndarray:
     """integral of f(centre + scale*v) exp(2<v, delta> - |delta|^2) dgamma(v), per delta.
 
-    One Gauss-Hermite rule, f taken once on centre + scale*nodes, serves
-    every row delta of tilts (cells, d). The tilt factors over the axes:
-    E_j[i, m] = exp(2 delta_ij g_m - delta_ij^2) on the 1-d nodes g. Each
-    node block, weighted, is contracted against the product of the trailing
-    d - 1 tables (cells x n^{d-1}) into one (n, cells) accumulator indexed
-    by the leading axis, and the leading table closes the sum. A block that
-    starts or ends inside a leading-axis slice is zero-padded to whole
-    slices.
+    One Gauss-Hermite rule, f taken once by `hermite._gh_blocks` at the
+    anchor (centre, scale), serves every row delta of tilts (cells, d). The
+    tilt factors over the axes: E_j[i, m] = exp(2 delta_ij g_m - delta_ij^2)
+    on the 1-d nodes g. Each node block, weighted, is contracted against the
+    product of the trailing d - 1 tables (cells x n^{d-1}) into one (n,
+    cells) accumulator indexed by the leading axis, and the leading table
+    closes the sum. A block that starts or ends inside a leading-axis slice
+    is zero-padded to whole slices.
     """
     d, cells = f.dimension, tilts.shape[0]
     g = hermite._gh_rule_1d(cfg.gh_nodes)[0]
@@ -200,14 +186,13 @@ def _tilted_integrals(
     width = trailing.shape[1]
     acc = np.zeros((g.size, cells))
     start = 0
-    for nodes, wts in hermite._node_blocks(d, cfg):
-        pts = (centre[:, None] + scale * nodes.T).T
-        vals = f.values(pts)
-        _require_finite(vals, pts, "semigroup integrand")
+    blocks = hermite._gh_blocks(f.values, centre[None, :], np.array([scale]), d, cfg,
+                                "semigroup integrand")
+    for _, vals, wts in blocks:
         first, skip = divmod(start, width)
         slices = -(-(skip + wts.size) // width)
         padded = np.zeros(slices * width)
-        padded[skip : skip + wts.size] = vals * wts
+        padded[skip : skip + wts.size] = vals[0] * wts
         acc[first : first + slices] += padded.reshape(slices, width) @ trailing.T
         start += wts.size
     return np.einsum("ia,ai->i", tables[0], acc)

@@ -182,6 +182,69 @@ def test_config_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_file_values_reach_their_flags(tmp_path, capsys):
+    # each key maps to its flag by option string: "format" sets the flag
+    # whose dest is fmt, and file values win over the argparse defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function = one\napex = 0.5\nformat = json\nrefine = 3\n")
+    code, out, _ = run_cli(capsys, "dominate", "--config", str(cfg))
+    assert code == 0
+    report = json.loads(out)
+    assert report["refine_factor"] == 3
+    code, out, _ = run_cli(capsys, "dominate", "--config", str(cfg), "--format", "csv")
+    assert code == 0
+    assert out.startswith("apex,maximal,hl_maximal,ratio\n")
+    args = ("ou-apply", "--function", "h_2", "--x", "1.0", "--t", "1.0")
+    cfg.write_text("route = spectral\n")
+    code, from_file, _ = run_cli(capsys, *args, "--config", str(cfg))
+    assert code == 0
+    code, spectral, _ = run_cli(capsys, *args, "--route", "spectral")
+    code, change, _ = run_cli(capsys, *args, "--route", "change_of_var")
+    assert from_file == spectral != change
+
+
+def test_config_file_apex_list_is_replaced_by_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function = h_1\napex = 2.0\napex = -1.0\npath-points = 40\n")
+    code, out, _ = run_cli(capsys, "converge", "--config", str(cfg), "--apex", "0.5")
+    assert code == 0
+    assert {line.split(",")[0] for line in out.strip().split("\n")[1:]} == {"0.5"}
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("functon = bump", "'functon'"),
+    ("format = xml", "format must be one of"),
+    ("refine = two", "refine:"),
+    ("config = other.cfg", "'config'"),
+    ("x = 0.3", "'x' names no optional flag of dominate"),
+])
+def test_config_file_bad_keys_exit_2(tmp_path, capsys, line, needle):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "dominate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+
+
+def test_config_file_cannot_preload_a_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x = 0.3\n")
+    code, _, err = run_cli(capsys, "maximal", "--function", "one", "--x", "0.1", "--config", str(cfg))
+    assert code == 2
+    assert "'x' names no optional flag of maximal" in err
+
+
+@pytest.mark.parametrize("command", ["ou-apply", "poisson-apply"])
+def test_spectral_route_on_a_pointwise_entry_exits_2(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--function", "bump", "--x", "0.3", "--t", "0.5", "--route", "spectral"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: spectral route needs a Hermite series representation\n"
+
+
 def test_load_config_file_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("dim = 2  # inline comment\n\nfunction=bump\napex=0.5,0.5\n")

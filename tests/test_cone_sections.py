@@ -95,14 +95,14 @@ def test_bump_cells_match_the_shifted_rule(semigroup, dimension):
         np.testing.assert_allclose(tilted, shifted, rtol=0.0, atol=1e-14, err_msg=str(t))
 
 
-def tilted_integrals(semigroup: str, dimension: int):
+def tilted_integrals(semigroup: str, apex):
     """(apex, cells, r, s) of mixture rows whose every cell takes the tilted rule.
 
     OU: the one row of each section of the truncated cone's default ladder
     (every 8th section in d = 3). P_t: four rows of the section at t = 0.05,
     whose largest tilts sit near 0.25, 0.75, 1.5 and just below _TILT_CAP.
     """
-    apex = APEXES[dimension]
+    dimension = len(apex)
     if semigroup == "ou":
         times = ou_module._cone_times(ConeSpec(apex, "truncated-parabolic"), CFG)
         for t in times[:: 8 if dimension == 3 else 1]:
@@ -127,19 +127,17 @@ def reference(name: str, pts: np.ndarray, r: float, s: float) -> np.ndarray:
                            QuadratureConfig(gh_nodes=200))
 
 
-@pytest.mark.parametrize("semigroup", sorted(SEMIGROUPS))
-@pytest.mark.parametrize("name", ["ball", "spike"])
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_non_smooth_cells_are_no_worse_than_the_shifted_rule(semigroup, name, dimension):
-    # per (row, cell) integral, unweighted: over all of them, the tilted
-    # rule's worst error against the reference is within 1.25x the shifted
-    # rule's, plus rounding. An indicator's error at one cell depends on
-    # where the nodes fall against the rim, so single cells are not compared.
-    # In d = 3 the 200-node spike reference (8M points a cell) is taken at
-    # the apex and at two cells of the outer ring, where the tilt is largest.
+def worst_errors(semigroup: str, name: str, apex):
+    # per (row, cell) integral, unweighted: the worst error of the tilted
+    # and of the shifted rule against the reference. An indicator's error at
+    # one cell depends on where the nodes fall against the rim, so single
+    # cells are not compared. In d = 3 the 200-node spike reference (8M
+    # points a cell) is taken at the apex and at two cells of the outer
+    # ring, where the tilt is largest.
+    dimension = len(apex)
     f = catalog_entry(name, dimension).rep
     worst_tilted = worst_shifted = 0.0
-    for xa, pts, r, s in tilted_integrals(semigroup, dimension):
+    for xa, pts, r, s in tilted_integrals(semigroup, apex):
         if name == "spike" and dimension == 3:
             pts = pts[np.argsort(np.linalg.norm(pts - xa, axis=1))[[0, -1, -2]]]
         want = reference(name, pts, r, s)
@@ -147,6 +145,27 @@ def test_non_smooth_cells_are_no_worse_than_the_shifted_rule(semigroup, name, di
         shifted = _mixture_values(f, pts, (np.array([r]), np.array([s]), np.ones(1)), CFG)
         worst_tilted = max(worst_tilted, float(np.max(np.abs(tilted - want))))
         worst_shifted = max(worst_shifted, float(np.max(np.abs(shifted - want))))
+    return worst_tilted, worst_shifted
+
+
+@pytest.mark.parametrize("semigroup", sorted(SEMIGROUPS))
+@pytest.mark.parametrize("name", ["ball", "spike"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_non_smooth_cells_are_no_worse_than_the_shifted_rule(semigroup, name, dimension):
+    # over all pairs, the tilted rule's worst error is within 1.25x the
+    # shifted rule's, plus rounding
+    worst_tilted, worst_shifted = worst_errors(semigroup, name, APEXES[dimension])
+    assert worst_tilted <= 1.25 * worst_shifted + 1e-14, (worst_tilted, worst_shifted)
+
+
+@pytest.mark.parametrize("semigroup", sorted(SEMIGROUPS))
+@pytest.mark.parametrize("name", ["ball", "spike"])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_cells_at_the_kink_are_no_worse_than_the_shifted_rule(semigroup, name, dimension):
+    # the same bound with the apex on the non-smooth set, where the nodes of
+    # both rules meet it: the ball's rim |x| = 1, the spike's kink at 0
+    apex = (float(name == "ball"),) + (0.0,) * (dimension - 1)
+    worst_tilted, worst_shifted = worst_errors(semigroup, name, apex)
     assert worst_tilted <= 1.25 * worst_shifted + 1e-14, (worst_tilted, worst_shifted)
 
 
