@@ -33,8 +33,6 @@ from .experiments import (
     to_json,
 )
 from .hermite import DEFAULT_CONFIG, SeriesFunction, fourier_hermite_coeff, hermite_eval
-from .ou import OU_ROUTES, nontangential_maximal, ou_apply, ou_maximal
-from .poisson import POISSON_ROUTES, poisson_apply, poisson_maximal, poisson_nontangential_maximal
 
 # config-file keys that may repeat: the repeatable (append) flags
 _LIST_KEYS = {"apex"}
@@ -118,13 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--beta", required=True, help="multi-index, comma-separated")
 
-    for name, routes in (("ou-apply", OU_ROUTES), ("poisson-apply", POISSON_ROUTES)):
-        p = sub.add_parser(name, help=f"apply the {name.split('-')[0]} semigroup at a point")
+    for name, sg in SEMIGROUPS.items():
+        p = sub.add_parser(f"{name}-apply", help=f"apply the {name} semigroup at a point")
+        p.set_defaults(semigroup=name)
         _add_common(p)
         p.add_argument("--function", required=True)
         p.add_argument("--x", required=True, help="evaluation point, comma-separated")
         p.add_argument("--t", type=float, required=True, help="semigroup time, >= 0")
-        p.add_argument("--route", choices=("auto",) + routes, default="auto")
+        p.add_argument("--route", choices=("auto", *sg.routes, "spectral"), default="auto")
 
     p = sub.add_parser("maximal", help="time supremum of the semigroup at a point")
     _add_common(p)
@@ -229,38 +228,32 @@ def _cmd_coeff(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    entry = catalog_entry(args.function, args.dim)
+def _point(args) -> tuple[float, ...]:
+    """--x as a point of --dim coordinates."""
     x = _parse_floats(args.x)
     if len(x) != args.dim:
         raise ValueError(f"x: expected {args.dim} coordinates, got {len(x)}")
+    return x
+
+
+def _cmd_apply(args) -> int:
+    entry = catalog_entry(args.function, args.dim)
+    x = _point(args)
     if args.route == "spectral" and not isinstance(entry.rep, SeriesFunction):
         raise ValueError("spectral route needs a Hermite series representation")
-    apply = ou_apply if args.command == "ou-apply" else poisson_apply
-    value = apply(entry.rep, x, args.t, args.route, _quadrature(args))
+    value = SEMIGROUPS[args.semigroup].apply(entry.rep, x, args.t, args.route, _quadrature(args))
     print(repr(float(value)))
     return 0
 
 
 def _cmd_maximal(args) -> int:
     entry = catalog_entry(args.function, args.dim)
-    x = _parse_floats(args.x)
-    if len(x) != args.dim:
-        raise ValueError(f"x: expected {args.dim} coordinates, got {len(x)}")
-    cfg = _quadrature(args)
+    x = _point(args)
+    sg, cfg = SEMIGROUPS[args.semigroup], _quadrature(args)
     if args.cone is None:
-        if args.semigroup == "ou":
-            est = ou_maximal(entry.rep, x, cfg)
-        else:
-            est = poisson_maximal(entry.rep, x, cfg)
-    elif args.semigroup == "ou":
-        est = nontangential_maximal(entry.rep, x, args.cone, cfg)
+        est = sg.maximal(entry.rep, x, cfg)
     else:
-        if args.cone != "gaussian":
-            raise ValueError(
-                "cone: the subordinated semigroup pairs with the 'gaussian' cone"
-            )
-        est = poisson_nontangential_maximal(entry.rep, x, cfg)
+        est = sg.cone_maximal(entry.rep, x, args.cone, cfg)
     payload = {"value": est.value, "argmax": est.argmax, "grid_size": est.grid_size}
     sys.stdout.write(to_json(payload))
     return 0

@@ -41,23 +41,21 @@ from .hermite import (
 )
 from .measure import gaussian_norm
 from .ou import (
+    OU,
     maximal_bound_report,
     nontangential_maximal,
-    ou_apply,
     ou_apply_change_of_var,
     ou_apply_spectral,
     ou_transform,
 )
 from .poisson import (
+    POISSON,
     bochner_identity_error,
-    poisson_apply,
-    poisson_apply_kernel,
-    poisson_apply_spectral,
     poisson_apply_subordination,
     poisson_transform,
 )
 
-SEMIGROUPS = ("ou", "poisson")
+SEMIGROUPS = {"ou": OU, "poisson": POISSON}
 VERIFY_LEVELS = ("fast", "full")
 
 # worst truncated-cone-to-ball-average ratio observed at build time over the
@@ -91,7 +89,9 @@ class ExperimentConfig:
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension: must be 1, 2, or 3, got {self.dimension}")
         if self.semigroup not in SEMIGROUPS:
-            raise ValueError(f"semigroup: must be one of {SEMIGROUPS}, got {self.semigroup!r}")
+            raise ValueError(
+                f"semigroup: must be one of {tuple(SEMIGROUPS)}, got {self.semigroup!r}"
+            )
         if self.function not in catalog(self.dimension):
             raise ValueError(
                 f"function: no catalog entry {self.function!r} in d={self.dimension}"
@@ -134,12 +134,6 @@ class ConvergenceRecord:
     t_star: float
 
 
-def _apply(semigroup: str, f, y, t: float, cfg: QuadratureConfig) -> float:
-    if semigroup == "ou":
-        return ou_apply(f, y, t, "auto", cfg)
-    return poisson_apply(f, y, t, "auto", cfg)
-
-
 def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
     """Sup error over in-cone path points below each alpha, per apex.
 
@@ -150,6 +144,7 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
     entry = catalog_entry(config.function, config.dimension)
     f = entry.rep
     cfg = config.quadrature
+    sg = SEMIGROUPS[config.semigroup]
     min_alpha = min(config.alphas)
     records = []
     for apex in sorted(config.apexes):
@@ -163,7 +158,7 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
             )
         target = float(f.values(np.asarray([apex], dtype=float))[0])
         evaluated = [
-            (y, t, abs(_apply(config.semigroup, f, y, t, cfg) - target))
+            (y, t, abs(sg.apply(f, y, t, "auto", cfg) - target))
             for y, t in path.points
         ]
         for alpha in sorted(config.alphas, reverse=True):
@@ -191,6 +186,7 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
     entry = catalog_entry(config.function, config.dimension)
     f = entry.rep
     cfg = config.quadrature
+    sg = SEMIGROUPS[config.semigroup]
     rows = []
     for apex in sorted(config.apexes):
         spec = ConeSpec(apex, config.cone)
@@ -203,7 +199,7 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
         )
         for label, pts in (("cone", cone_pts), ("tangential", tang_pts)):
             for y, t in pts:
-                err = abs(_apply(config.semigroup, f, y, t, cfg) - target)
+                err = abs(sg.apply(f, y, t, "auto", cfg) - target)
                 rows.append(
                     {
                         "apex": apex,
@@ -312,22 +308,22 @@ def _ou_route_margin(cfg: QuadratureConfig, seed: int, dims=(1, 2)) -> float:
         rng = np.random.default_rng(seed + 10 * d)
         x = rng.uniform(-1.5, 1.5, size=d)
         for t in (0.1, 1.0):
-            spectral = ou_apply_spectral(s, x, t)
-            worst = max(worst, abs(ou_apply_change_of_var(s, x, t, cfg) - spectral))
+            spectral = OU.apply(s, x, t, "spectral")
+            for route in OU.routes:
+                worst = max(worst, abs(OU.apply(s, x, t, route, cfg) - spectral))
     return worst
 
 
 def _poisson_route_margin(cfg: QuadratureConfig, seed: int, dims=(1,), times=(0.5, 2.0)) -> float:
-
     worst = 0.0
     for d in dims:
         s = _random_series(d, 6, seed + 5 * d)
         rng = np.random.default_rng(seed + 50 * d)
         x = rng.uniform(-1.0, 1.0, size=d)
         for t in times:
-            spectral = poisson_apply_spectral(s, x, t)
-            worst = max(worst, abs(poisson_apply_subordination(s, x, t, cfg) - spectral))
-            worst = max(worst, abs(poisson_apply_kernel(s, x, t, cfg) - spectral))
+            spectral = POISSON.apply(s, x, t, "spectral")
+            for route in POISSON.routes:
+                worst = max(worst, abs(POISSON.apply(s, x, t, route, cfg) - spectral))
     return worst
 
 
@@ -375,10 +371,8 @@ def _contraction_margin(cfg: QuadratureConfig, names, dimension: int = 1) -> flo
                 continue
             ref = entry.norm(p, cfg)
             for t in (1e-4, 0.1, 1.0, 10.0):
-                for moved in (
-                    ou_transform(entry.rep, t, cfg),
-                    poisson_transform(entry.rep, t, cfg),
-                ):
+                for sg in SEMIGROUPS.values():
+                    moved = sg.transform(entry.rep, t, cfg)
                     worst = max(worst, gaussian_norm(moved, p, cfg) / ref - 1.0)
     return worst
 

@@ -1,18 +1,20 @@
 """The Ornstein-Uhlenbeck semigroup T_t, and the core it shares with P_t.
 
-A `Semigroup` is two things: its decay rate on the chaos of degree
-k = |beta| (k for T_t, sqrt(k) for the Poisson-Hermite P_t), and its
-mixture t -> (times, weights) with S_t f = sum_j w_j T_{s_j} f (the atom
-((t,), (1.0,)) for T_t, the subordination pairs for P_t). The spectral
-multiplier, the values at points, the transform, the time supremum and the
-cone supremum are derived from that pair once, here, for both semigroups.
-The scope is d <= 3: cone cross-sections, like the ball rules of
-`mehler.measure`, raise ValueError above it.
+A `Semigroup` is its decay rate on the chaos of degree k = |beta| (k for
+T_t, sqrt(k) for the Poisson-Hermite P_t), its cone kinds and its route
+table: each route a mixture t -> (times, weights) with S_t f = sum_j w_j
+T_{s_j} f, the first the default. `Semigroup.apply` resolves 'auto'
+(spectral for series), checks the time and takes any route at one point;
+each public `ou_apply*` and `poisson_apply*` function is one call to it.
+The spectral multiplier, values, transform, time supremum and cone supremum
+are derived once, here, for both semigroups. The scope is d <= 3: cone
+cross-sections, like the ball rules of `mehler.measure`, raise ValueError
+above it.
 
-T_t has two evaluation routes:
+T_t's routes (its cones are "parabolic-gaussian" and "truncated-parabolic"):
 
-  change_of_var  T_t f(x) = integral of f(e^{-t}x + sqrt(1-e^{-2t})u) dgamma(u)
-  spectral       termwise decay e^{-t|beta|} on a Hermite expansion
+  change_of_var  T_t f(x) = integral of f(e^{-t}x + sqrt(1-e^{-2t})u) dgamma(u); t > 0
+  spectral       termwise decay e^{-t|beta|} on a Hermite expansion; t >= 0
 
 The Mehler kernel integral is not a third route: the substitution
 y = e^{-t}x + sqrt(1-e^{-2t})u turns the kernel against dgamma(y) into
@@ -89,10 +91,6 @@ from .hermite import (
 )
 from .measure import MaximalEstimate, _section_max, gaussian_norm, hl_maximal
 
-OU_ROUTES = ("change_of_var", "spectral")
-
-_NONTANGENTIAL_KINDS = ("parabolic-gaussian", "truncated-parabolic")
-
 # largest tilt |delta| at which a cone cell takes the tilted rule of
 # _section_values, set from the rule's measured error (module docstring);
 # both OU cones keep |delta| < 1/sqrt(2)
@@ -104,15 +102,6 @@ def _decay_pair(t: float) -> tuple[float, float]:
     r = math.exp(-t)
     s = math.sqrt(-math.expm1(-2.0 * t))
     return r, s
-
-
-def _route_args(f, x, t: float) -> tuple[FunctionRep, float, np.ndarray]:
-    """(f, t, x) of a one-point quadrature route, checked: t > 0, x one point."""
-    f = as_function(f)
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
-    return f, t, _single_point(x, f.dimension)
 
 
 def _folded_rows(times, weights):
@@ -240,108 +229,6 @@ def _multiplied(series: HermiteSeries, factor: Callable[[int], float]) -> Hermit
     )
 
 
-@dataclass(frozen=True)
-class Semigroup:
-    """S_t from its decay rate on chaos k = |beta| and its mixture of OU times.
-
-    prefix names the transforms ("T" or "P"); mixture(t) returns (times,
-    weights) with S_t f = sum_j w_j T_{s_j} f for a black-box f.
-    """
-
-    prefix: str
-    rate: Callable[[int], float]
-    mixture: Callable[[float], tuple]
-
-    def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
-        # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
-        return _multiplied(series, lambda k: 1.0 if k == 0 else math.exp(-t * self.rate(k)))
-
-    def apply_spectral(self, f, x, t: float):
-        series = _series_of(f)
-        if series is None:
-            raise TypeError("spectral route needs a Hermite series representation")
-        t = float(t)
-        if not t >= 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        return self.spectral(series, t).evaluate(x)
-
-    def values(
-        self, f: FunctionRep, points: np.ndarray, t: float, cfg: QuadratureConfig
-    ) -> np.ndarray:
-        """S_t f at each row of points: spectral for series, else the OU-time mixture."""
-        series = _series_of(f)
-        if series is not None:
-            return np.atleast_1d(np.asarray(self.spectral(series, t).evaluate(points)))
-        return _mixture_values(f, points, _folded_rows(*self.mixture(t)), cfg)
-
-    def transform(self, f, t: float, cfg: QuadratureConfig) -> FunctionRep:
-        """S_t f as a function of x: series stay series, else pointwise quadrature."""
-        f = as_function(f)
-        t = float(t)
-        name = f"{self.prefix}_{t}[{f.name}]"
-        series = _series_of(f)
-        if series is not None:
-            if not t >= 0.0:
-                raise ValueError(f"time must be nonnegative, got {t}")
-            return SeriesFunction(self.spectral(series, t), name=name)
-        if not t > 0.0:
-            raise ValueError(f"time must be positive, got {t}")
-
-        def evaluator(pts: np.ndarray) -> np.ndarray:
-            return self.values(f, pts, t, cfg)
-
-        return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=name)
-
-
-OU = Semigroup("T", lambda k: k, lambda t: ((t,), (1.0,)))
-
-
-def ou_apply_kernel(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """T_t f(x) by the Mehler kernel: the change-of-variable integral; t > 0.
-
-    The substitution y = e^{-t}x + sqrt(1-e^{-2t})u turns the kernel against
-    dgamma(y) into dgamma(u), so the kernel integral and the change-of-variable
-    integral are one integral, taken by one quadrature. It is a function of
-    its own, not an alias, so wrappers that find functions by identity (the
-    benchmark's tracer) see two distinct names.
-    """
-    return ou_apply_change_of_var(f, x, t, cfg)
-
-
-def ou_apply_change_of_var(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """T_t f(x) as a gamma-average of f(e^{-t}x + sqrt(1-e^{-2t})u); t > 0."""
-    f, t, xa = _route_args(f, x, t)
-    return float(_mixture_values(f, xa[None, :], _folded_rows((t,), (1.0,)), cfg)[0])
-
-
-def ou_apply_spectral(f, x, t: float):
-    """Termwise e^{-t|beta|} decay on a Hermite series; exact, t >= 0."""
-    return OU.apply_spectral(f, x, t)
-
-
-def ou_apply(
-    f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """Dispatch T_t f(x); route 'auto' picks spectral for series, else quadrature."""
-    f = as_function(f)
-    if route == "auto":
-        route = "spectral" if _series_of(f) is not None else "change_of_var"
-    if route == "spectral":
-        return float(ou_apply_spectral(f, x, t))
-    if route == "change_of_var":
-        return ou_apply_change_of_var(f, x, t, cfg)
-    raise ValueError(f"unknown route {route!r}; expected one of {OU_ROUTES} or 'auto'")
-
-
-def ou_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> FunctionRep:
-    """T_t f as a function of x, for composition and norm studies.
-
-    Series representations stay series (termwise decay); pointwise ones
-    become pointwise functions backed by the substitution quadrature.
-    """
-    return OU.transform(f, t, cfg)
-
-
 def _cross_fractions(count: int) -> tuple[float, ...]:
     """Aperture fractions: half spread over the body, half bunched at the wall."""
     if count < 2:
@@ -377,22 +264,6 @@ def _positive_times(times) -> np.ndarray:
     return ts
 
 
-def _time_maximal(sg: Semigroup, f, x, cfg: QuadratureConfig, times) -> MaximalEstimate:
-    """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
-    f = as_function(f)
-    xa = _single_point(x, f.dimension)
-    ts = list(cfg.time_grid.values() if times is None else _positive_times(times))
-    ts.append(math.inf)
-    vals = [sg.values(f, xa[None, :], float(t), cfg)[0] for t in ts]
-    value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
-    return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
-
-
-def ou_maximal(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None) -> MaximalEstimate:
-    """sup_t |T_t f(x)| over a log time grid, with the t = inf mean appended."""
-    return _time_maximal(OU, f, x, cfg, times)
-
-
 def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:
     cap = spec.time_cap
     lo, hi = cfg.time_grid.lo, cfg.time_grid.hi
@@ -415,41 +286,183 @@ def _cross_section(apex: np.ndarray, aperture: float, fractions, directions) -> 
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _cone_maximal(
-    sg: Semigroup, f, x, kind: str, cfg: QuadratureConfig, times, fractions
-) -> MaximalEstimate:
-    """sup |S_t f(y)| over (y, t) inside the cone of the given kind at apex x.
+@dataclass(frozen=True, eq=False)
+class Semigroup:
+    """S_t from its decay rate on chaos k = |beta|, its routes and its cones.
 
-    The grid is the product of a log time ladder honoring the cone's time
-    window with, at each time, rings of points at fixed fractions of the
-    aperture. The achieving (y, t) pair is returned as the argmax.
+    prefix names the transforms ("T" or "P"); routes maps each quadrature
+    route's name to its mixture t -> (times, weights), with S_t f = sum_j w_j
+    T_{s_j} f for a black-box f, the first route being the default; cones
+    holds the cone kinds of `cone_maximal`.
     """
-    f = as_function(f)
-    xa = _single_point(x, f.dimension)
-    spec = ConeSpec(tuple(float(c) for c in xa), kind)
-    if times is None:
-        ts = _cone_times(spec, cfg)
-    else:
-        ts = _positive_times(times)
-        if not np.all(ts < spec.time_cap):
-            raise ValueError("times must sit below the cone's time cap")
-    fracs = _cross_fractions(cfg.cross_radial) if fractions is None else tuple(fractions)
-    if any(not 0.0 <= fr < 1.0 for fr in fracs):
-        raise ValueError("fractions must lie in [0, 1)")
-    dirs = _directions(f.dimension, cfg.cross_angular)
-    spectral = _series_of(f) is not None
-    best = (-math.inf, None)
-    cells = 0
-    for t in ts:
+
+    prefix: str
+    rate: Callable[[int], float]
+    routes: dict
+    cones: tuple
+
+    @property
+    def mixture(self) -> Callable[[float], tuple]:
+        """The default route's mixture t -> (times, weights)."""
+        return next(iter(self.routes.values()))
+
+    def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
+        # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
+        return _multiplied(series, lambda k: 1.0 if k == 0 else math.exp(-t * self.rate(k)))
+
+    def _checked(self, f, t: float, route: str):
+        """(f, its series or None, the route 'auto' resolves to, float t), checked.
+
+        The spectral route needs a series and t >= 0; a quadrature route
+        needs t > 0 (t = inf gives the gamma-mean).
+        """
+        f = as_function(f)
+        series = _series_of(f)
+        if route == "auto":
+            route = "spectral" if series is not None else next(iter(self.routes))
         t = float(t)
-        pts = _cross_section(xa, spec.aperture(t), fracs, dirs)
-        if spectral:
-            vals = sg.values(f, pts, t, cfg)
+        if route == "spectral":
+            if series is None:
+                raise TypeError("spectral route needs a Hermite series representation")
+            if not t >= 0.0:
+                raise ValueError(f"time must be nonnegative, got {t}")
+        elif route not in self.routes:
+            routes = (*self.routes, "spectral")
+            raise ValueError(f"unknown route {route!r}; expected one of {routes} or 'auto'")
+        elif not t > 0.0:
+            raise ValueError(f"time must be positive, got {t}")
+        return f, series, route, t
+
+    def apply(
+        self, f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
+    ) -> float:
+        """S_t f at the one point x by the named route, or by 'auto'."""
+        f, series, route, t = self._checked(f, t, route)
+        xa = _single_point(x, f.dimension)
+        if route == "spectral":
+            return self.spectral(series, t).evaluate(xa)
+        rows = _folded_rows(*self.routes[route](t))
+        return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
+
+    def values(
+        self, f: FunctionRep, points: np.ndarray, t: float, cfg: QuadratureConfig
+    ) -> np.ndarray:
+        """S_t f at each row of points: spectral for series, else the OU-time mixture."""
+        series = _series_of(f)
+        if series is not None:
+            return np.atleast_1d(np.asarray(self.spectral(series, t).evaluate(points)))
+        return _mixture_values(f, points, _folded_rows(*self.mixture(t)), cfg)
+
+    def transform(self, f, t: float, cfg: QuadratureConfig) -> FunctionRep:
+        """S_t f as a function of x: series stay series, else pointwise quadrature."""
+        f, series, route, t = self._checked(f, t, "auto")
+        name = f"{self.prefix}_{t}[{f.name}]"
+        if route == "spectral":
+            return SeriesFunction(self.spectral(series, t), name=name)
+
+        def evaluator(pts: np.ndarray) -> np.ndarray:
+            return self.values(f, pts, t, cfg)
+
+        return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=name)
+
+    def maximal(self, f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None) -> MaximalEstimate:
+        """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
+        f = as_function(f)
+        xa = _single_point(x, f.dimension)
+        ts = list(cfg.time_grid.values() if times is None else _positive_times(times))
+        ts.append(math.inf)
+        vals = [self.values(f, xa[None, :], float(t), cfg)[0] for t in ts]
+        value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
+        return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
+
+    def cone_maximal(
+        self, f, x, kind: str, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None, fractions=None
+    ) -> MaximalEstimate:
+        """sup |S_t f(y)| over (y, t) inside the cone of the given kind at apex x.
+
+        The grid is the product of a log time ladder honoring the cone's time
+        window with, at each time, rings of points at fixed fractions of the
+        aperture. The achieving (y, t) pair is returned as the argmax.
+        """
+        if kind not in self.cones:
+            raise ValueError(f"kind must be one of {self.cones}, got {kind!r}")
+        f = as_function(f)
+        xa = _single_point(x, f.dimension)
+        spec = ConeSpec(tuple(float(c) for c in xa), kind)
+        if times is None:
+            ts = _cone_times(spec, cfg)
         else:
-            vals = _section_values(f, xa, pts, _folded_rows(*sg.mixture(t)), cfg)
-        cells += pts.shape[0]
-        best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
-    return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
+            ts = _positive_times(times)
+            if not np.all(ts < spec.time_cap):
+                raise ValueError("times must sit below the cone's time cap")
+        fracs = _cross_fractions(cfg.cross_radial) if fractions is None else tuple(fractions)
+        if any(not 0.0 <= fr < 1.0 for fr in fracs):
+            raise ValueError("fractions must lie in [0, 1)")
+        dirs = _directions(f.dimension, cfg.cross_angular)
+        spectral = _series_of(f) is not None
+        best = (-math.inf, None)
+        cells = 0
+        for t in ts:
+            t = float(t)
+            pts = _cross_section(xa, spec.aperture(t), fracs, dirs)
+            if spectral:
+                vals = self.values(f, pts, t, cfg)
+            else:
+                vals = _section_values(f, xa, pts, _folded_rows(*self.mixture(t)), cfg)
+            cells += pts.shape[0]
+            best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
+        return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
+
+
+OU = Semigroup(
+    "T", lambda k: k, {"change_of_var": lambda t: ((t,), (1.0,))},
+    ("parabolic-gaussian", "truncated-parabolic"),
+)
+
+OU_ROUTES = (*OU.routes, "spectral")
+
+
+def ou_apply_kernel(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """T_t f(x) by the Mehler kernel: the change-of-variable integral; t > 0.
+
+    The substitution y = e^{-t}x + sqrt(1-e^{-2t})u turns the kernel against
+    dgamma(y) into dgamma(u), so the kernel integral and the change-of-variable
+    integral are one integral, taken by one quadrature. It is a function of
+    its own, not an alias, so wrappers that find functions by identity (the
+    benchmark's tracer) see two distinct names.
+    """
+    return OU.apply(f, x, t, "change_of_var", cfg)
+
+
+def ou_apply_change_of_var(f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """T_t f(x) as a gamma-average of f(e^{-t}x + sqrt(1-e^{-2t})u); t > 0."""
+    return OU.apply(f, x, t, "change_of_var", cfg)
+
+
+def ou_apply_spectral(f, x, t: float):
+    """Termwise e^{-t|beta|} decay on a Hermite series; exact, t >= 0."""
+    return OU.apply(f, x, t, "spectral")
+
+
+def ou_apply(
+    f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float:
+    """Dispatch T_t f(x); route 'auto' picks spectral for series, else quadrature."""
+    return OU.apply(f, x, t, route, cfg)
+
+
+def ou_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> FunctionRep:
+    """T_t f as a function of x, for composition and norm studies.
+
+    Series representations stay series (termwise decay); pointwise ones
+    become pointwise functions backed by the substitution quadrature.
+    """
+    return OU.transform(f, t, cfg)
+
+
+def ou_maximal(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None) -> MaximalEstimate:
+    """sup_t |T_t f(x)| over a log time grid, with the t = inf mean appended."""
+    return OU.maximal(f, x, cfg, times)
 
 
 def nontangential_maximal(
@@ -460,10 +473,8 @@ def nontangential_maximal(
     times=None,
     fractions=None,
 ) -> MaximalEstimate:
-    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see _cone_maximal."""
-    if kind not in _NONTANGENTIAL_KINDS:
-        raise ValueError(f"kind must be one of {_NONTANGENTIAL_KINDS}, got {kind!r}")
-    return _cone_maximal(OU, f, x, kind, cfg, times, fractions)
+    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see Semigroup.cone_maximal."""
+    return OU.cone_maximal(f, x, kind, cfg, times, fractions)
 
 
 def maximal_bound_report(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:

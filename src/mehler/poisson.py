@@ -5,22 +5,17 @@ P_t is the subordinated Ornstein-Uhlenbeck semigroup,
     P_t f(x) = pi^{-1/2} * integral_0^inf u^{-1/2} e^{-u} T_{t^2/4u} f(x) du,
 
 equivalently termwise decay e^{-t sqrt(|beta|)} on a Hermite expansion.
-So P_t is the `mehler.ou.Semigroup` with rate sqrt(k) and mixture the
-subordination pairs (t^2/4u_j, omega_j); its spectral multiplier, values,
-transform, time supremum and cone supremum (the "gaussian" cone) are the
-shared ones of `mehler.ou`, for d <= 3. The module constant `POISSON` is
-that semigroup, as `mehler.ou.OU` is T_t. This module keeps what is
-Poisson's own: the subordination rule and the kernel route.
+So P_t is the `mehler.ou.Semigroup` with rate sqrt(k), the cone kind
+"gaussian" and these routes, the first two mixtures of OU times:
 
-Three routes are provided:
-
-  subordination  quadrature of the u-integral after u = v^2 (default)
-  kernel         the r-integral on (0,1) obtained from r = e^{-t^2/4u},
-                 taken in L = -log r with panels graded toward both
-                 endpoints and an analytic completion for the r -> 0 flat
-                 tail; the inner integral is the same shifted gaussian
-                 quadrature the OU routes use
+  subordination  (t^2/4u_j, omega_j), the u-integral after u = v^2 (default)
+  kernel         the r-integral on (0,1) from r = e^{-t^2/4u} (_kernel_times)
   spectral       termwise e^{-t sqrt(|beta|)} on a Hermite series
+
+Its values, transform, time supremum and cone supremum are the shared ones
+of `mehler.ou`, for d <= 3; the module constant `POISSON` is that
+semigroup, as `mehler.ou.OU` is T_t. This module keeps what is Poisson's
+own: the two mixtures.
 
 The two quadrature layouts are frozen after calibration against the scalar
 identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}:
@@ -37,19 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig, as_function
+from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig
 from .measure import MaximalEstimate, _panel_points
-from .ou import (
-    Semigroup,
-    _cone_maximal,
-    _folded_rows,
-    _mixture_values,
-    _route_args,
-    _series_of,
-    _time_maximal,
-)
-
-POISSON_ROUTES = ("subordination", "kernel", "spectral")
+from .ou import Semigroup
 
 # flat-tail cut for the kernel route: e^{-L} ~ 1e-8 beyond this, so T_L f is
 # replaced by the gamma-mean and the remaining weight integrates to an erf
@@ -114,24 +99,6 @@ def _subordinated_times(t: float):
     return t * t / (4.0 * u), omega
 
 
-POISSON = Semigroup("P", math.sqrt, _subordinated_times)
-
-
-def poisson_apply_subordination(
-    f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """P_t f(x) by quadrature of the u-integral; t > 0 (t = inf gives the mean).
-
-    The inner T_{t^2/4u} evaluations are the shifted gaussian quadrature for
-    every representation, series included: on a series the spectral factor
-    sum_j omega_j e^{-t^2 k/4u_j} is the identity `bochner_identity_error`
-    checks, so it would not be an independent route.
-    """
-    f, t, xa = _route_args(f, x, t)
-    rows = _folded_rows(*POISSON.mixture(t))
-    return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
-
-
 @lru_cache(maxsize=64)
 def _kernel_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes L_k (OU times) and weights for the r-integral taken in L = -log r."""
@@ -147,48 +114,62 @@ def _kernel_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
     return L, W
 
 
-def poisson_apply_kernel(
-    f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """P_t f(x) by the explicit r-integral on (0, 1); t > 0.
+def _kernel_times(t: float):
+    """The kernel route's mixture: the r-integral on (0, 1), and the atom at t = inf.
 
-    Taken in L = -log r: panels graded geometrically between the essential-
-    decay cut near r = 1 and the flat tail near r = 0, where T_L f is within
-    about 1e-8 of the gamma-mean and the rest of the integral is an erf.
+    r = e^{-t^2/4u} turns the u-integral into one over r in (0, 1), taken in
+    L = -log r: panels graded geometrically between the essential-decay cut
+    near r = 1 and the flat tail near r = 0, where T_L f is within about
+    1e-8 of the gamma-mean and the rest of the integral is an erf, an
+    analytic completion. Each T_L f is the same shifted gaussian quadrature
+    the OU route uses.
     """
-    f, t, xa = _route_args(f, x, t)
     if math.isinf(t):
-        rows = _folded_rows((math.inf,), (1.0,))
-        return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
+        return (math.inf,), (1.0,)
     L, W = _kernel_rule(t)
     # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
-    times = np.append(L, math.inf)
-    weights = np.append(W, math.erf(t / (2.0 * math.sqrt(cut))))
-    return float(_mixture_values(f, xa[None, :], _folded_rows(times, weights), cfg)[0])
+    return np.append(L, math.inf), np.append(W, math.erf(t / (2.0 * math.sqrt(cut))))
+
+
+POISSON = Semigroup(
+    "P", math.sqrt, {"subordination": _subordinated_times, "kernel": _kernel_times},
+    ("gaussian",),
+)
+
+POISSON_ROUTES = (*POISSON.routes, "spectral")
+
+
+def poisson_apply_subordination(
+    f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float:
+    """P_t f(x) by quadrature of the u-integral; t > 0 (t = inf gives the mean).
+
+    The inner T_{t^2/4u} evaluations are the shifted gaussian quadrature for
+    every representation, series included: on a series the spectral factor
+    sum_j omega_j e^{-t^2 k/4u_j} is the identity `bochner_identity_error`
+    checks, so it would not be an independent route.
+    """
+    return POISSON.apply(f, x, t, "subordination", cfg)
+
+
+def poisson_apply_kernel(
+    f, x, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float:
+    """P_t f(x) by the explicit r-integral on (0, 1); t > 0. See _kernel_times."""
+    return POISSON.apply(f, x, t, "kernel", cfg)
 
 
 def poisson_apply_spectral(f, x, t: float):
     """Termwise e^{-t sqrt(|beta|)} decay on a Hermite series; t >= 0."""
-    return POISSON.apply_spectral(f, x, t)
+    return POISSON.apply(f, x, t, "spectral")
 
 
 def poisson_apply(
     f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
     """Dispatch P_t f(x); route 'auto' picks spectral for series, else subordination."""
-    f = as_function(f)
-    if route == "auto":
-        route = "spectral" if _series_of(f) is not None else "subordination"
-    if route == "spectral":
-        return float(poisson_apply_spectral(f, x, t))
-    if route == "subordination":
-        return poisson_apply_subordination(f, x, t, cfg)
-    if route == "kernel":
-        return poisson_apply_kernel(f, x, t, cfg)
-    raise ValueError(
-        f"unknown route {route!r}; expected spectral, subordination, kernel, or auto"
-    )
+    return POISSON.apply(f, x, t, route, cfg)
 
 
 def poisson_transform(f, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> FunctionRep:
@@ -200,7 +181,7 @@ def poisson_maximal(
     f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None
 ) -> MaximalEstimate:
     """sup_t |P_t f(x)| over a log time grid, with the t = inf mean appended."""
-    return _time_maximal(POISSON, f, x, cfg, times)
+    return POISSON.maximal(f, x, cfg, times)
 
 
 def poisson_nontangential_maximal(
@@ -216,4 +197,4 @@ def poisson_nontangential_maximal(
     aperture-fraction rings, ties resolved toward small t then lexicographic
     y, with the achieving (y, t) pair returned.
     """
-    return _cone_maximal(POISSON, f, x, "gaussian", cfg, times, fractions)
+    return POISSON.cone_maximal(f, x, "gaussian", cfg, times, fractions)

@@ -21,6 +21,7 @@ import pytest
 import mehler
 import mehler.hermite as hermite_module
 import mehler.ou as ou_module
+import mehler.poisson as poisson_module
 from mehler import (
     HermiteSeries,
     NonFiniteValueError,
@@ -33,8 +34,12 @@ from mehler import (
     hermite_expand,
     project_chaos,
 )
+from mehler.cli import build_parser
 from mehler.cones import ConeSpec
+from mehler.experiments import SEMIGROUPS
 from mehler.ou import (
+    OU,
+    OU_ROUTES,
     _folded_rows,
     _mixture_values,
     maximal_bound_report,
@@ -49,8 +54,11 @@ from mehler.ou import (
 from mehler.measure import gaussian_norm, hl_maximal
 from mehler.poisson import (
     POISSON,
+    POISSON_ROUTES,
     poisson_apply,
     poisson_apply_kernel,
+    poisson_apply_spectral,
+    poisson_apply_subordination,
     poisson_maximal,
     poisson_nontangential_maximal,
     poisson_transform,
@@ -182,6 +190,45 @@ def test_route_validation():
         ou_apply(H2, 0.0, 1.0, route="secret")
     with pytest.raises(ValueError, match="unknown route 'kernel'"):
         ou_apply(bump(), 0.0, 1.0, route="kernel", cfg=CFG)
+
+
+# the public function of each route, per semigroup table
+ROUTE_FUNCTIONS = {
+    "ou": {"change_of_var": ou_apply_change_of_var, "spectral": ou_apply_spectral},
+    "poisson": {
+        "subordination": poisson_apply_subordination,
+        "kernel": poisson_apply_kernel,
+        "spectral": poisson_apply_spectral,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_route_functions_are_the_semigroup_table(name):
+    sg, functions = SEMIGROUPS[name], ROUTE_FUNCTIONS[name]
+    routes = {"ou": OU_ROUTES, "poisson": POISSON_ROUTES}[name]
+    assert routes == (*sg.routes, "spectral") == tuple(functions)
+    choices = build_parser().commands[f"{name}-apply"]._option_string_actions["--route"].choices
+    assert tuple(c for c in choices if c != "auto") == routes
+    for route, call in functions.items():
+        if route == "spectral":
+            assert call(H2, 0.4, 0.7) == sg.apply(H2, 0.4, 0.7, route)
+            continue
+        for f, x in ((H2, 0.4), (bump(2), (0.3, -0.2))):
+            assert call(f, x, 0.7, CFG) == sg.apply(f, x, 0.7, route, CFG)
+    want = OU.apply(bump(), 0.4, 0.7, "change_of_var", CFG)
+    assert ou_apply_kernel(bump(), 0.4, 0.7, CFG) == want
+    assert poisson_module._kernel_times(math.inf) == ((math.inf,), (1.0,))
+
+
+def test_cone_kinds_are_the_semigroup_table():
+    assert set(SEMIGROUPS.values()) == {OU, POISSON}
+    assert OU.cones == ("parabolic-gaussian", "truncated-parabolic")
+    assert POISSON.cones == ("gaussian",)
+    with pytest.raises(ValueError, match=r"kind must be one of \('gaussian',\)"):
+        POISSON.cone_maximal(H2, 0.5, "truncated-parabolic")
+    with pytest.raises(ValueError, match="got 'gaussian'"):
+        nontangential_maximal(H2, 0.5, "gaussian")
 
 
 @pytest.mark.parametrize("call", [ou_apply, poisson_apply])
