@@ -39,21 +39,13 @@ from .hermite import (
     enumerate_multi_indices,
     generator_apply,
 )
-from .measure import gaussian_norm
+from .measure import _first_max, gaussian_norm
 from .ou import (
     OU,
     maximal_bound_report,
     nontangential_maximal,
-    ou_apply_change_of_var,
-    ou_apply_spectral,
-    ou_transform,
 )
-from .poisson import (
-    POISSON,
-    bochner_identity_error,
-    poisson_apply_subordination,
-    poisson_transform,
-)
+from .poisson import POISSON, bochner_identity_error
 
 SEMIGROUPS = {"ou": OU, "poisson": POISSON}
 VERIFY_LEVELS = ("fast", "full")
@@ -157,27 +149,15 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
                 " increase path_points or shrink decay"
             )
         target = float(f.values(np.asarray([apex], dtype=float))[0])
-        evaluated = [
-            (y, t, abs(sg.apply(f, y, t, "auto", cfg) - target))
-            for y, t in path.points
-        ]
+        ys, ts = zip(*path.points)
+        errs = np.abs(sg.values(f, ys, ts, "auto", cfg) - target)
         for alpha in sorted(config.alphas, reverse=True):
-            best_err = -math.inf
-            best = None
             # ascending t among eligible points: ties resolve to smallest t
-            for y, t, err in reversed(evaluated):
-                if t < alpha and err > best_err:
-                    best_err = err
-                    best = (y, t)
-            records.append(
-                ConvergenceRecord(
-                    apex=apex,
-                    alpha=alpha,
-                    sup_error=best_err,
-                    y_star=best[0],
-                    t_star=best[1],
-                )
-            )
+            eligible = [i for i in reversed(range(len(ts))) if ts[i] < alpha]
+            err, i = _first_max(errs[eligible], eligible.__getitem__)
+            records.append(ConvergenceRecord(
+                apex=apex, alpha=alpha, sup_error=err, y_star=ys[i], t_star=ts[i]
+            ))
     return records
 
 
@@ -198,15 +178,15 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
             apex, config.path_points, config.exponent, decay=config.decay
         )
         for label, pts in (("cone", cone_pts), ("tangential", tang_pts)):
-            for y, t in pts:
-                err = abs(sg.apply(f, y, t, "auto", cfg) - target)
+            ys, ts = zip(*pts)
+            for y, t, v in zip(ys, ts, sg.values(f, ys, ts, "auto", cfg).tolist()):
                 rows.append(
                     {
                         "apex": apex,
                         "path": label,
                         "t": t,
                         "y": y,
-                        "error": err,
+                        "error": abs(v - target),
                         "in_cone": cone_contains(spec, y, t),
                     }
                 )
@@ -286,11 +266,9 @@ def _eigenrelation_margin(dimension: int, max_degree: int, seed: int) -> float:
 
 def _markov_margin(cfg: QuadratureConfig) -> float:
     f = PointwiseFunction(1, lambda p: np.ones(p.shape[0]), name="one")
-    worst = 0.0
-    for t in (1e-4, 1e-2, 0.5, 2.0, 10.0):
-        for x in (-4.0, 0.0, 1.3, 4.0):
-            worst = max(worst, abs(ou_apply_change_of_var(f, x, t, cfg) - 1.0))
-    return worst
+    ts, xs = np.meshgrid((1e-4, 1e-2, 0.5, 2.0, 10.0), (-4.0, 0.0, 1.3, 4.0), indexing="ij")
+    vals = OU.values(f, xs.reshape(-1, 1), ts.ravel(), "change_of_var", cfg)
+    return float(np.max(np.abs(vals - 1.0)))
 
 
 def _random_series(dimension: int, max_degree: int, seed: int) -> HermiteSeries:
@@ -301,29 +279,20 @@ def _random_series(dimension: int, max_degree: int, seed: int) -> HermiteSeries:
     )
 
 
-def _ou_route_margin(cfg: QuadratureConfig, seed: int, dims=(1, 2)) -> float:
+def _route_margin(sg, cfg: QuadratureConfig, seed: int, step: int, box: float, dims, times):
+    """max |S_t s(x) - spectral| over sg's quadrature routes and times, per d.
+
+    s is a random degree-6 series seeded by seed + step*d, taken at one
+    point drawn uniformly from [-box, box]^d with seed + 10*step*d.
+    """
     worst = 0.0
     for d in dims:
-        s = _random_series(d, 6, seed + d)
-        rng = np.random.default_rng(seed + 10 * d)
-        x = rng.uniform(-1.5, 1.5, size=d)
-        for t in (0.1, 1.0):
-            spectral = OU.apply(s, x, t, "spectral")
-            for route in OU.routes:
-                worst = max(worst, abs(OU.apply(s, x, t, route, cfg) - spectral))
-    return worst
-
-
-def _poisson_route_margin(cfg: QuadratureConfig, seed: int, dims=(1,), times=(0.5, 2.0)) -> float:
-    worst = 0.0
-    for d in dims:
-        s = _random_series(d, 6, seed + 5 * d)
-        rng = np.random.default_rng(seed + 50 * d)
-        x = rng.uniform(-1.0, 1.0, size=d)
-        for t in times:
-            spectral = POISSON.apply(s, x, t, "spectral")
-            for route in POISSON.routes:
-                worst = max(worst, abs(POISSON.apply(s, x, t, route, cfg) - spectral))
+        s = _random_series(d, 6, seed + step * d)
+        x = np.random.default_rng(seed + 10 * step * d).uniform(-box, box, size=(1, d))
+        xs = np.repeat(x, len(times), axis=0)
+        spectral = sg.values(s, xs, times, "spectral")
+        for route in sg.routes:
+            worst = max(worst, *np.abs(sg.values(s, xs, times, route, cfg) - spectral).tolist())
     return worst
 
 
@@ -332,33 +301,22 @@ def _bochner_margin() -> float:
 
 
 def _semigroup_law_margins(cfg: QuadratureConfig) -> tuple[float, float, float]:
+    """|S_t S_s f - S_{t+s} f| on bump for T and P, and on a series for T spectrally."""
     bump = PointwiseFunction(
         1, lambda p: np.exp(-np.sum(p * p, axis=1)), name="bump"
     )
     t, s = 0.35, 0.6
-    ou_inner = ou_transform(bump, s, cfg)
-    ou_worst = max(
-        abs(
-            ou_apply_change_of_var(ou_inner, x, t, cfg)
-            - ou_apply_change_of_var(bump, x, t + s, cfg)
-        )
-        for x in (0.0, 1.2)
-    )
-    po_inner = poisson_transform(bump, s, cfg)
-    po_worst = max(
-        abs(
-            poisson_apply_subordination(po_inner, x, t, cfg)
-            - poisson_apply_subordination(bump, x, t + s, cfg)
-        )
-        for x in (0.0, 1.2)
+    xs = np.array([[0.0], [1.2]])
+    ou_law, po_law = (
+        float(np.max(np.abs(sg.values(sg.transform(bump, s, cfg), xs, t, "auto", cfg)
+                            - sg.values(bump, xs, t + s, "auto", cfg))))
+        for sg in (OU, POISSON)
     )
     series = _random_series(1, 5, 77)
-    spec_worst = 0.0
-    for x in (-0.8, 0.4):
-        direct = ou_apply_spectral(series, x, t + s)
-        composed = ou_apply_spectral(ou_transform(series, s), x, t)
-        spec_worst = max(spec_worst, abs(direct - composed))
-    return ou_worst, po_worst, spec_worst
+    xs = np.array([[-0.8], [0.4]])
+    direct = OU.values(series, xs, t + s, "spectral")
+    composed = OU.values(OU.transform(series, s, cfg), xs, t, "spectral")
+    return ou_law, po_law, float(np.max(np.abs(direct - composed)))
 
 
 def _contraction_margin(cfg: QuadratureConfig, names, dimension: int = 1) -> float:
@@ -455,7 +413,7 @@ def run_verify_suite(
         check(f"hermite-orthonormality-d{d}", _orthonormality_margin(d, 6, cfg), 1e-8)
     check("hermite-eigenrelation", _eigenrelation_margin(2, 6, seed), 1e-8)
     check("ou-markov", _markov_margin(cfg), 1e-10)
-    check("ou-route-agreement", _ou_route_margin(cfg, seed), 1e-8)
+    check("ou-route-agreement", _route_margin(OU, cfg, seed, 1, 1.5, (1, 2), (0.1, 1.0)), 1e-8)
     check("poisson-bochner-identity", _bochner_margin(), 1e-10)
     ou_law, po_law, spec_law = _semigroup_law_margins(cfg)
     check("ou-semigroup-law", ou_law, 1e-7)
@@ -466,14 +424,10 @@ def run_verify_suite(
     samples = 10_000 if level == "fast" else 100_000
     check("cone-inclusion", _cone_inclusion_margin(samples, seed), 0.0)
     check("convergence-monotone", _convergence_monotone_margin(cfg), 0.0)
-    if level == "fast":
-        check("poisson-route-agreement", _poisson_route_margin(cfg, seed), 1e-6)
-    else:
-        check(
-            "poisson-route-agreement",
-            _poisson_route_margin(cfg, seed, dims=(1, 2), times=(0.1, 1.0, 4.0)),
-            1e-6,
-        )
+    po_dims, po_times = ((1,), (0.5, 2.0)) if level == "fast" else ((1, 2), (0.1, 1.0, 4.0))
+    check("poisson-route-agreement",
+          _route_margin(POISSON, cfg, seed, 5, 1.0, po_dims, po_times), 1e-6)
+    if level == "full":
         ratio, drift = _domination_stability_margins(cfg)
         check(
             "domination-recorded-constant",

@@ -108,18 +108,14 @@ class MaximalEstimate:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
 
 
-def _section_max(best, values, arg_at):
-    """Fold one grid section into the running (value, argmax) pair.
+def _first_max(values, arg_at):
+    """(the first largest |value|, arg_at(its index)): grid order breaks ties.
 
-    The section's first largest |value| replaces best only when strictly
-    greater, so earlier sections and earlier rows win ties; arg_at(i) builds
-    the argmax of row i, for the winner only.
+    arg_at(i) builds the argmax of row i, for the winner only.
     """
     mags = np.abs(values)
     i = int(np.argmax(mags))
-    if mags[i] > best[0]:
-        return float(mags[i]), arg_at(i)
-    return best
+    return float(mags[i]), arg_at(i)
 
 
 @lru_cache(maxsize=16)
@@ -285,5 +281,5 @@ def hl_maximal(
             f"the gaussian mass of the ball of radius {r} about {tuple(center.tolist())} "
             "underflows to 0, so its average is undefined"
         )
-    value, arg = _section_max((-math.inf, None), num / mass, lambda i: float(rs[i]))
+    value, arg = _first_max(num / mass, lambda i: float(rs[i]))
     return MaximalEstimate(value=value, argmax=arg, grid_size=len(radii))

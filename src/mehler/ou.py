@@ -3,13 +3,13 @@
 A `Semigroup` is its decay rate on the chaos of degree k = |beta| (k for
 T_t, sqrt(k) for the Poisson-Hermite P_t), its cone kinds and its route
 table: each route a mixture t -> (times, weights) with S_t f = sum_j w_j
-T_{s_j} f, the first the default. `Semigroup.apply` resolves 'auto'
-(spectral for series), checks the time and takes any route at one point;
-each public `ou_apply*` and `poisson_apply*` function is one call to it.
-The spectral multiplier, values, transform, time supremum and cone supremum
-are derived once, here, for both semigroups. The scope is d <= 3: cone
-cross-sections, like the ball rules of `mehler.measure`, raise ValueError
-above it.
+T_{s_j} f, the first the default. `Semigroup.values` is the one evaluator:
+it resolves 'auto' (spectral for series), checks the times and takes S_t f
+by any route at a list of (point, time) pairs. apply, the transform, the
+time supremum and the paths and checks of `mehler.experiments` are calls to
+it, and each public `ou_apply*` and `poisson_apply*` function is one call to
+apply. The scope is d <= 3: cone cross-sections, like the ball rules of
+`mehler.measure`, raise ValueError above it.
 
 T_t's routes (its cones are "parabolic-gaussian" and "truncated-parabolic"):
 
@@ -47,6 +47,8 @@ apex x, `_section_values`. With c = r x and delta = r(y - x)/s for a row
 
 so f is taken once per folded row on c + s*nodes, and each cell is a
 reweighted sum of those values: an importance-weighted Gauss-Hermite rule.
+A cell's rule does not depend on the other cells of its section, but the
+last bits of its value do: the section's cells share one matrix product.
 The weight factors over the axes; the contraction walks the same node
 blocks, so f sees the same 2^14 budget, and holds cells x n^{d-1} tilt
 products (2 MB for 57 cells in d = 3 at 64 nodes) and an n x cells
@@ -88,8 +90,9 @@ from .hermite import (
     SeriesFunction,
     _single_point,
     as_function,
+    as_points,
 )
-from .measure import MaximalEstimate, _section_max, gaussian_norm, hl_maximal
+from .measure import MaximalEstimate, _first_max, gaussian_norm, hl_maximal
 
 # largest tilt |delta| at which a cone cell takes the tilted rule of
 # _section_values, set from the rule's measured error (module docstring);
@@ -133,7 +136,8 @@ def _mixture_values(
     rows is the (r, s, w) triple of _folded_rows. Each (row, point) pair is
     the anchor (r_k x_p, s_k) of one integral. Pairs are taken row-major,
     so each point's terms are summed in the order of the rows, and packed
-    into the blocks of `hermite._gh_blocks`.
+    into the blocks of `hermite._gh_blocks`. Each pair's integral is one dot
+    product of its own, so its bits do not depend on its place in a block.
     """
     d = f.dimension
     r, s, w = rows
@@ -147,7 +151,7 @@ def _mixture_values(
                                     "semigroup integrand")
         row_vals = np.zeros(k.size)
         for _, vals, wts in blocks:
-            row_vals += vals @ wts
+            row_vals += np.vecdot(vals, wts)
         np.add.at(acc, p, w[k] * row_vals)
     return acc
 
@@ -196,9 +200,10 @@ def _section_values(
     a cell y gets the tilted rule of _tilted_integrals with delta = r(y -
     apex)/s: the shift v -> v + delta turns the shifted integral at y into
     that one. A (row, cell) pair with |delta| >= _TILT_CAP takes the shifted
-    rule of _mixture_values instead, so a cell's value does not depend on
-    the other cells of its section. Each cell's terms are summed in row
-    order.
+    rule of _mixture_values instead, so a cell's rule does not depend on
+    the other cells of its section; its value does only in the rounding of
+    the contraction shared by the cells. Each cell's terms are summed in
+    row order.
     """
     offsets = points - apex
     dist = np.sqrt(np.sum(offsets * offsets, axis=1))
@@ -310,58 +315,71 @@ class Semigroup:
         # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
         return _multiplied(series, lambda k: 1.0 if k == 0 else math.exp(-t * self.rate(k)))
 
-    def _checked(self, f, t: float, route: str):
-        """(f, its series or None, the route 'auto' resolves to, float t), checked.
+    def _checked(self, f, times, route: str):
+        """(f, its series or None, the route 'auto' resolves to, times as floats), checked.
 
-        The spectral route needs a series and t >= 0; a quadrature route
-        needs t > 0 (t = inf gives the gamma-mean).
+        The spectral route needs a series and every t >= 0; a quadrature
+        route needs every t > 0 (t = inf gives the gamma-mean).
         """
         f = as_function(f)
         series = _series_of(f)
         if route == "auto":
             route = "spectral" if series is not None else next(iter(self.routes))
-        t = float(t)
+        ts = np.asarray(times, dtype=float)
         if route == "spectral":
             if series is None:
                 raise TypeError("spectral route needs a Hermite series representation")
-            if not t >= 0.0:
-                raise ValueError(f"time must be nonnegative, got {t}")
+            bad, need = ~(ts >= 0.0), "nonnegative"
         elif route not in self.routes:
             routes = (*self.routes, "spectral")
             raise ValueError(f"unknown route {route!r}; expected one of {routes} or 'auto'")
-        elif not t > 0.0:
-            raise ValueError(f"time must be positive, got {t}")
-        return f, series, route, t
+        else:
+            bad, need = ~(ts > 0.0), "positive"
+        if bad.any():
+            raise ValueError(f"time must be {need}, got {float(ts[bad][0])}")
+        return f, series, route, ts
+
+    def values(
+        self, f, points, times, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
+    ) -> np.ndarray:
+        """S_t f at each (points[i], times[i]) by the named route, or by 'auto'.
+
+        times is one time for every point or one per point. The points that
+        share a time take one spectral evaluation or one `_mixture_values`
+        call, whose rows depend on the time alone and whose sums on the point
+        alone, so each value is the one its point gets alone.
+        """
+        f, series, route, ts = self._checked(f, times, route)
+        pts = as_points(points, f.dimension)[0]
+        if ts.size not in (1, pts.shape[0]) or ts.ndim > 1:
+            raise ValueError(f"expected one time or {pts.shape[0]}, got shape {ts.shape}")
+        ts = np.broadcast_to(ts.ravel(), pts.shape[:1])
+        out = np.empty(pts.shape[0])
+        for t in np.unique(ts).tolist():
+            at = ts == t
+            if route == "spectral":
+                out[at] = self.spectral(series, t).evaluate(pts[at])
+            else:
+                out[at] = _mixture_values(f, pts[at], _folded_rows(*self.routes[route](t)), cfg)
+        return out
 
     def apply(
         self, f, x, t: float, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
     ) -> float:
         """S_t f at the one point x by the named route, or by 'auto'."""
-        f, series, route, t = self._checked(f, t, route)
-        xa = _single_point(x, f.dimension)
-        if route == "spectral":
-            return self.spectral(series, t).evaluate(xa)
-        rows = _folded_rows(*self.routes[route](t))
-        return float(_mixture_values(f, xa[None, :], rows, cfg)[0])
-
-    def values(
-        self, f: FunctionRep, points: np.ndarray, t: float, cfg: QuadratureConfig
-    ) -> np.ndarray:
-        """S_t f at each row of points: spectral for series, else the OU-time mixture."""
-        series = _series_of(f)
-        if series is not None:
-            return np.atleast_1d(np.asarray(self.spectral(series, t).evaluate(points)))
-        return _mixture_values(f, points, _folded_rows(*self.mixture(t)), cfg)
+        f = as_function(f)
+        return float(self.values(f, _single_point(x, f.dimension), t, route, cfg)[0])
 
     def transform(self, f, t: float, cfg: QuadratureConfig) -> FunctionRep:
         """S_t f as a function of x: series stay series, else pointwise quadrature."""
-        f, series, route, t = self._checked(f, t, "auto")
+        f, series, _, ts = self._checked(f, t, "auto")
+        t = float(ts)
         name = f"{self.prefix}_{t}[{f.name}]"
-        if route == "spectral":
+        if series is not None:
             return SeriesFunction(self.spectral(series, t), name=name)
 
         def evaluator(pts: np.ndarray) -> np.ndarray:
-            return self.values(f, pts, t, cfg)
+            return self.values(f, pts, t, "auto", cfg)
 
         return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=name)
 
@@ -369,10 +387,9 @@ class Semigroup:
         """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
         f = as_function(f)
         xa = _single_point(x, f.dimension)
-        ts = list(cfg.time_grid.values() if times is None else _positive_times(times))
-        ts.append(math.inf)
-        vals = [self.values(f, xa[None, :], float(t), cfg)[0] for t in ts]
-        value, arg = _section_max((-math.inf, None), vals, lambda i: float(ts[i]))
+        ts = [*(cfg.time_grid.values() if times is None else _positive_times(times)), math.inf]
+        vals = self.values(f, np.repeat(xa[None, :], len(ts), axis=0), ts, "auto", cfg)
+        value, arg = _first_max(vals, lambda i: float(ts[i]))
         return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
     def cone_maximal(
@@ -399,19 +416,21 @@ class Semigroup:
         if any(not 0.0 <= fr < 1.0 for fr in fracs):
             raise ValueError("fractions must lie in [0, 1)")
         dirs = _directions(f.dimension, cfg.cross_angular)
-        spectral = _series_of(f) is not None
-        best = (-math.inf, None)
-        cells = 0
-        for t in ts:
-            t = float(t)
-            pts = _cross_section(xa, spec.aperture(t), fracs, dirs)
-            if spectral:
-                vals = self.values(f, pts, t, cfg)
-            else:
-                vals = _section_values(f, xa, pts, _folded_rows(*self.mixture(t)), cfg)
-            cells += pts.shape[0]
-            best = _section_max(best, vals, lambda i: (tuple(float(c) for c in pts[i]), t))
-        return MaximalEstimate(value=best[0], argmax=best[1], grid_size=cells)
+        sections = [_cross_section(xa, spec.aperture(float(t)), fracs, dirs) for t in ts]
+        pts = np.concatenate(sections)
+        pt_times = np.repeat(ts, [section.shape[0] for section in sections])
+        if _series_of(f) is not None:
+            vals = self.values(f, pts, pt_times, "auto", cfg)
+        else:
+            vals = np.concatenate([
+                _section_values(f, xa, section, _folded_rows(*self.mixture(float(t))), cfg)
+                for section, t in zip(sections, ts)
+            ])
+        # grid order is t ascending, then lexicographic y: the first largest wins ties
+        value, arg = _first_max(
+            vals, lambda i: (tuple(float(c) for c in pts[i]), float(pt_times[i]))
+        )
+        return MaximalEstimate(value=value, argmax=arg, grid_size=pts.shape[0])
 
 
 OU = Semigroup(

@@ -188,7 +188,8 @@ def test_poisson_section_straddles_the_tilt_cap():
     values = _section_values(f, xa, pts, rows, CFG)
     assert sum(sizes) == (r.size + int(far.sum())) * CFG.gh_nodes**2
     np.testing.assert_allclose(values, _mixture_values(f, pts, rows, CFG), rtol=0.0, atol=1e-14)
-    # a cell's rule and value do not depend on the other cells of its section
+    # a cell's rule does not depend on the other cells of its section, and
+    # its value only in the rounding of the contraction they share
     for i in (0, pts.shape[0] // 2, pts.shape[0] - 1):
         alone = _section_values(f, xa, pts[i : i + 1], rows, CFG)[0]
         assert alone == pytest.approx(values[i], rel=1e-14, abs=0.0)

@@ -592,7 +592,49 @@ def test_a_point_does_not_depend_on_its_batch(dimension):
         times, weights = POISSON.mixture(t)
         alone = mixture(f, points[:1], times, weights, CFG)
         batch = mixture(f, points, times, weights, CFG)
-        np.testing.assert_allclose(alone[0], batch[0], rtol=1e-15, atol=0.0, err_msg=str(t))
+        assert alone[0] == batch[0], t
+
+
+def small_series(dimension: int) -> HermiteSeries:
+    return HermiteSeries(dimension, {(0,) * dimension: 0.5, (2,) + (1,) * (dimension - 1): 1.0})
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("kind", ["series", "black-box"])
+def test_values_are_each_pair_alone(name, dimension, kind):
+    # mixed, repeated and infinite times, one per point, then one time for all
+    sg = SEMIGROUPS[name]
+    f = small_series(dimension) if kind == "series" else bump(dimension)
+    routes = ("auto", *sg.routes, *(("spectral",) if kind == "series" else ()))
+    ys = np.random.default_rng(dimension).uniform(-2.0, 2.0, size=(5, dimension))
+    for ts in ([0.3, 0.05, 0.3, math.inf, 1.0], [0.3] * 5):
+        for route in routes:
+            batch = sg.values(f, ys, ts, route, CFG)
+            assert batch.tolist() == [sg.apply(f, y, t, route, CFG) for y, t in zip(ys, ts)]
+            if ts[0] == ts[1]:
+                assert sg.values(f, ys, ts[0], route, CFG).tolist() == batch.tolist()
+
+
+@pytest.mark.parametrize("transform", [ou_transform, poisson_transform])
+def test_a_transform_point_does_not_depend_on_its_batch(transform):
+    moved = transform(bump(2), 0.3, CFG)
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(16, 2))
+    assert moved.values(pts).tolist() == [moved.values(p[None, :])[0] for p in pts]
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_one_bad_time_among_many_raises(name):
+    sg = SEMIGROUPS[name]
+    pts = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="time must be positive, got 0.0"):
+        sg.values(bump(), pts, [0.5, 0.0, 1.0], "auto", CFG)
+    with pytest.raises(ValueError, match="time must be positive, got -1.0"):
+        sg.values(H2, pts, [0.5, 1.0, -1.0], next(iter(sg.routes)), CFG)
+    with pytest.raises(ValueError, match="time must be nonnegative, got -0.1"):
+        sg.values(H2, pts, [0.0, -0.1, 1.0], "auto")
+    with pytest.raises(ValueError, match="expected one time or 3"):
+        sg.values(H2, pts, [0.5, 1.0], "auto")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ COMMANDS = {
                                      "--function", "ball", "--apex", "0.5"],
     "converge-poisson-bump-d2.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
                                      "--function", "bump", "--dim", "2", "--apex", "0.3,0.2"],
+    "contrast-poisson-gaussian-bump-d2.csv": ["contrast", "--semigroup", "poisson", "--cone",
+                                              "gaussian", "--function", "bump", "--dim", "2",
+                                              "--apex", "0.3,0.2"],
     "dominate-bump-d2.json": ["dominate", "--dim", "2", "--function", "bump", "--format", "json"],
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "dominate-bump-d3.json": ["dominate", "--dim", "3", "--function", "bump",
@@ -43,7 +46,8 @@ COMMANDS = {
                                               "--x", "0.3,0.2"],
     "maximal-ou-truncated-ball-d3.json": ["maximal", "--function", "ball", "--dim", "3",
                                           "--x", "0.4,0.1,-0.3", "--cone", "truncated-parabolic"],
-    "maximal-ou-time-ball-d1.json":["maximal", "--function", "ball", "--x", "0.5"],
+    "maximal-ou-time-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5"],
+    "maximal-ou-time-x3-d2.json": ["maximal", "--function", "x3", "--dim", "2", "--x", "0.3,0.2"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
                                           "--function", "ball", "--x", "0.5"],
     "poisson-apply-subordination-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
