@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: hermite-eval, coeff, ou-apply, poisson-apply, maximal,
-converge, contrast, dominate, verify.  A flat key=value config file can
-preload any optional flag of its subcommand (``--config run.cfg``): a key
-names a long flag, its value parses like the flag's, a key that names no
-such flag is an error, and flags given on the command line override the
-file.  Tabular results go to --out or stdout as CSV (header row always
-present) or JSON; verify always emits JSON and exits nonzero when any
-invariant fails.
+converge, contrast, dominate, verify.  Each parses only the flags its
+handler reads: dominate always takes the truncated-parabolic OU cone, and
+only verify takes a seed.  A flat key=value config file can preload any
+optional flag of its subcommand (``--config run.cfg``; hermite-eval has
+none): a key names a long flag, its value parses like the flag's, a key
+that names no such flag is an error, and flags given on the command line
+override the file.  The experiments write CSV (header row always present)
+or JSON to --out or else stdout; verify always writes JSON to stdout, and
+to --out as well, and exits nonzero when any invariant fails.
 """
 
 from __future__ import annotations
@@ -74,27 +76,31 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_quadrature(p: argparse.ArgumentParser, dim: bool = True):
     p.add_argument("--config", help="flat key=value file preloading any optional flag")
-    p.add_argument("--dim", type=int, default=1, help="ambient dimension (1, 2, or 3)")
+    if dim:
+        p.add_argument("--dim", type=int, default=1, help="ambient dimension (1, 2, or 3)")
     p.add_argument("--gh-nodes", type=int, dest="gh_nodes", help="Gauss-Hermite nodes per axis")
-    p.add_argument("--seed", type=int, default=20240814, help="seed of the verify suite")
 
 
-def _add_experiment(p: argparse.ArgumentParser):
-    _add_common(p)
+def _add_experiment(p: argparse.ArgumentParser, path: bool = True):
+    """The flags of an experiment; path adds the semigroup and the cone path."""
+    _add_quadrature(p)
     p.add_argument("--function", default="one", help="catalog entry name")
-    p.add_argument("--semigroup", choices=SEMIGROUPS, default="ou")
-    p.add_argument("--cone", choices=CONE_KINDS, default="parabolic-gaussian")
-    p.add_argument("--eta", type=float, help="relative aperture of the path, in [0, 1)")
-    p.add_argument("--decay", type=float, help="geometric time decay, in (0, 1)")
-    p.add_argument("--apex", action="append", help="apex point, comma-separated; repeatable")
-    p.add_argument("--path-points", type=int, dest="path_points", help="points per path")
-    p.add_argument("--alphas", help="comma-separated decreasing scale grid")
+    p.add_argument(
+        "--apex", type=_parse_floats, action="append",
+        help="apex point, comma-separated; repeatable",
+    )
     p.add_argument("--out", help="write output here instead of stdout")
     p.add_argument(
         "--format", choices=("csv", "json"), default="csv", dest="fmt", help="output format"
     )
+    if path:
+        p.add_argument("--semigroup", choices=SEMIGROUPS, default="ou")
+        p.add_argument("--cone", choices=CONE_KINDS, default="parabolic-gaussian")
+        p.add_argument("--eta", type=float, help="relative aperture of the path, in [0, 1)")
+        p.add_argument("--decay", type=float, help="geometric time decay, in (0, 1)")
+        p.add_argument("--path-points", type=int, dest="path_points", help="points per path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,28 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
 
     p = sub.add_parser("hermite-eval", help="evaluate a normalized Hermite function")
-    _add_common(p)
-    p.add_argument("--beta", required=True, help="multi-index, comma-separated")
-    p.add_argument("--x", required=True, help="evaluation point, comma-separated")
+    p.add_argument("--beta", type=_parse_ints, required=True, help="multi-index, comma-separated")
+    p.add_argument("--x", type=_parse_floats, required=True, help="point, comma-separated")
 
     p = sub.add_parser("coeff", help="Fourier-Hermite coefficient of a catalog entry")
-    _add_common(p)
+    _add_quadrature(p)
     p.add_argument("--function", required=True)
-    p.add_argument("--beta", required=True, help="multi-index, comma-separated")
+    p.add_argument("--beta", type=_parse_ints, required=True, help="multi-index, comma-separated")
 
     for name, sg in SEMIGROUPS.items():
         p = sub.add_parser(f"{name}-apply", help=f"apply the {name} semigroup at a point")
         p.set_defaults(semigroup=name)
-        _add_common(p)
+        _add_quadrature(p)
         p.add_argument("--function", required=True)
-        p.add_argument("--x", required=True, help="evaluation point, comma-separated")
+        p.add_argument("--x", type=_parse_floats, required=True, help="point, comma-separated")
         p.add_argument("--t", type=float, required=True, help="semigroup time, >= 0")
         p.add_argument("--route", choices=("auto", *sg.routes, "spectral"), default="auto")
 
     p = sub.add_parser("maximal", help="time supremum of the semigroup at a point")
-    _add_common(p)
+    _add_quadrature(p)
     p.add_argument("--function", required=True)
-    p.add_argument("--x", required=True, help="evaluation point, comma-separated")
+    p.add_argument("--x", type=_parse_floats, required=True, help="point, comma-separated")
     p.add_argument("--semigroup", choices=SEMIGROUPS, default="ou")
     p.add_argument(
         "--cone", choices=CONE_KINDS,
@@ -137,17 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="sup error along a cone path, per scale alpha")
     _add_experiment(p)
+    p.add_argument("--alphas", type=_parse_floats, help="comma-separated decreasing scales")
 
     p = sub.add_parser("contrast", help="cone path vs tangential path error rows")
     _add_experiment(p)
     p.add_argument("--exponent", type=float, help="tangential exponent, in (0, 1/2)")
 
-    p = sub.add_parser("dominate", help="cone supremum vs ball-average maximal ratio")
-    _add_experiment(p)
+    p = sub.add_parser(
+        "dominate", help="truncated-parabolic OU cone supremum vs ball-average maximal ratio"
+    )
+    _add_experiment(p, path=False)
     p.add_argument("--refine", type=int, default=1, help="grid refinement factor")
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on failure")
-    _add_common(p)
+    _add_quadrature(p, dim=False)
+    p.add_argument("--seed", type=int, default=20240814, help="seed of the suite's samples")
     p.add_argument("--level", choices=VERIFY_LEVELS, default="fast", help="fast (< 60 s) or full")
     p.add_argument("--out", help="write the JSON report here as well as stdout")
 
@@ -186,54 +195,36 @@ def _quadrature(args) -> "object":
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    apexes, dim = args.apex, args.dim
-    if apexes is None:
-        apexes = ["0.0" if dim == 1 else ",".join(["0.0"] * dim)]
+    """The config of the flags given; a flag its subcommand lacks keeps the field default."""
     kwargs = dict(
-        dimension=dim,
-        semigroup=args.semigroup,
+        dimension=args.dim,
         function=args.function,
-        apexes=tuple(_parse_floats(a) for a in apexes),
-        cone=args.cone,
+        apexes=args.apex or [(0.0,) * args.dim],
         quadrature=_quadrature(args),
     )
-    for key in ("eta", "decay", "path_points", "exponent"):
+    for key in ("semigroup", "cone", "eta", "decay", "path_points", "alphas", "exponent"):
         val = getattr(args, key, None)
         if val is not None:
             kwargs[key] = val
-    alphas = args.alphas
-    if alphas is not None:
-        kwargs["alphas"] = _parse_floats(alphas)
     return ExperimentConfig(**kwargs)
 
 
-def _emit(args, text: str) -> None:
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
-
-
 def _cmd_hermite_eval(args) -> int:
-    beta = _parse_ints(args.beta)
-    x = _parse_floats(args.x)
-    print(repr(float(hermite_eval(beta, x))))
+    print(repr(float(hermite_eval(args.beta, args.x))))
     return 0
 
 
 def _cmd_coeff(args) -> int:
-    beta = _parse_ints(args.beta)
     entry = catalog_entry(args.function, args.dim)
-    print(repr(fourier_hermite_coeff(entry.rep, beta, _quadrature(args))))
+    print(repr(fourier_hermite_coeff(entry.rep, args.beta, _quadrature(args))))
     return 0
 
 
 def _point(args) -> tuple[float, ...]:
     """--x as a point of --dim coordinates."""
-    x = _parse_floats(args.x)
-    if len(x) != args.dim:
-        raise ValueError(f"x: expected {args.dim} coordinates, got {len(x)}")
-    return x
+    if len(args.x) != args.dim:
+        raise ValueError(f"x: expected {args.dim} coordinates, got {len(args.x)}")
+    return args.x
 
 
 def _cmd_apply(args) -> int:
@@ -259,33 +250,32 @@ def _cmd_maximal(args) -> int:
     return 0
 
 
-def _cmd_converge(args) -> int:
-    config = _experiment_config(args)
-    records = run_convergence(config)
-    if args.fmt == "csv":
-        _emit(args, convergence_csv(records))
+# (run, CSV writer, JSON payload) of each experiment subcommand
+_EXPERIMENTS = {
+    "converge": (
+        lambda config, args: run_convergence(config),
+        convergence_csv,
+        lambda records: sorted(records, key=lambda r: (r.apex, r.alpha)),
+    ),
+    "contrast": (
+        lambda config, args: run_tangential_contrast(config), contrast_csv, lambda rows: rows
+    ),
+    "dominate": (
+        lambda config, args: run_domination_report(config, refine_factor=args.refine),
+        domination_csv,
+        lambda report: report,
+    ),
+}
+
+
+def _cmd_experiment(args) -> int:
+    run, csv, payload = _EXPERIMENTS[args.command]
+    result = run(_experiment_config(args), args)
+    text = csv(result) if args.fmt == "csv" else to_json(payload(result))
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        _emit(args, to_json(sorted(records, key=lambda r: (r.apex, r.alpha))))
-    return 0
-
-
-def _cmd_contrast(args) -> int:
-    config = _experiment_config(args)
-    rows = run_tangential_contrast(config)
-    if args.fmt == "csv":
-        _emit(args, contrast_csv(rows))
-    else:
-        _emit(args, to_json(rows))
-    return 0
-
-
-def _cmd_dominate(args) -> int:
-    config = _experiment_config(args)
-    report = run_domination_report(config, refine_factor=args.refine)
-    if args.fmt == "csv":
-        _emit(args, domination_csv(report))
-    else:
-        _emit(args, to_json(report))
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -304,9 +294,7 @@ _COMMANDS = {
     "ou-apply": _cmd_apply,
     "poisson-apply": _cmd_apply,
     "maximal": _cmd_maximal,
-    "converge": _cmd_converge,
-    "contrast": _cmd_contrast,
-    "dominate": _cmd_dominate,
+    **dict.fromkeys(_EXPERIMENTS, _cmd_experiment),
     "verify": _cmd_verify,
 }
 
@@ -314,7 +302,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is not None:
+    if getattr(args, "config", None) is not None:
         sub = parser.commands[args.command]
         try:
             sub.set_defaults(**_file_defaults(sub, args))

@@ -197,10 +197,13 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
 def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> dict:
     """Truncated cone supremum vs ball-average maximal function, per apex.
 
-    Requires a nonnegative catalog entry (the pointwise bound is stated for
-    f >= 0). Also carries the three-term time-supremum bound ingredients so
-    an empirical constant can be read off either table.
+    Requires the OU semigroup, whose truncated-parabolic cone the report
+    always takes, and a nonnegative catalog entry (the pointwise bound is
+    stated for f >= 0). Also carries the three-term time-supremum bound
+    ingredients so an empirical constant can be read off either table.
     """
+    if config.semigroup != "ou":
+        raise ValueError(f"semigroup: domination reports are OU only, got {config.semigroup!r}")
     entry = catalog_entry(config.function, config.dimension)
     if not entry.nonnegative:
         raise ValueError(

@@ -38,6 +38,7 @@ the node caches are filled once per (dimension, node-count) pair and shared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
@@ -193,6 +194,12 @@ def enumerate_multi_indices(dimension: int, max_degree: int) -> list[MultiIndex]
 # ---------------------------------------------------------------------------
 
 
+def _require_count(name: str, value) -> None:
+    """Raise unless value is an integer; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LogGrid:
     """A log-spaced grid on [lo, hi], used for suprema over scales."""
@@ -202,6 +209,7 @@ class LogGrid:
     hi: float = 10.0
 
     def __post_init__(self):
+        _require_count("count", self.count)
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not (0.0 < self.lo < self.hi):
@@ -242,6 +250,8 @@ class QuadratureConfig:
     cross_angular: int = 8
 
     def __post_init__(self):
+        for name in ("gh_nodes", "ball_nodes", "cross_radial", "cross_angular"):
+            _require_count(name, getattr(self, name))
         if not (2 <= self.gh_nodes <= 1024):
             raise ValueError(f"gh_nodes must be in [2, 1024], got {self.gh_nodes}")
         if self.ball_nodes < 2:
@@ -474,12 +484,12 @@ def _gh_rule_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_hermite_grid(dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite rule normalized against gamma_d.
 
-    Returns (points, weights) with points of shape (n^d, d) and weights
-    summing to 1, so  integral of g dgamma_d ~= weights @ g(points). Both
-    are read-only; points is Fortran-ordered (points.T is C-contiguous).
+    Returns (points, weights) with points of shape (n^d, d), d <= 3, and
+    weights summing to 1, so  integral of g dgamma_d ~= weights @ g(points).
+    Both are read-only; points is Fortran-ordered (points.T is C-contiguous).
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    if not 1 <= dimension <= 3:
+        raise ValueError(f"Gauss-Hermite grids are built for 1 <= d <= 3, got d = {dimension}")
     if n ** dimension > 40_000_000:
         raise ValueError(f"tensor rule with {n}^{dimension} nodes is too large")
     xi, w = _gh_rule_1d(n)

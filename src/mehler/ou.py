@@ -236,8 +236,6 @@ def _multiplied(series: HermiteSeries, factor: Callable[[int], float]) -> Hermit
 
 def _cross_fractions(count: int) -> tuple[float, ...]:
     """Aperture fractions: half spread over the body, half bunched at the wall."""
-    if count < 2:
-        return (0.0,)
     inner = count // 2
     outer = count - inner
     body = np.linspace(0.0, 1.0, inner, endpoint=False)

@@ -490,7 +490,7 @@ def test_criterion_10_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = [
         "converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5",
-        "--path-points", "40", "--seed", "7",
+        "--path-points", "40",
     ]
     code1 = cli_main(argv + ["--out", str(out1)])
     code2 = cli_main(argv + ["--out", str(out2)])

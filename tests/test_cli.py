@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from mehler.cli import load_config_file, main
+from mehler.cli import build_parser, load_config_file, main
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,7 @@ def test_config_file_apex_list_is_replaced_by_the_flag(tmp_path, capsys):
     ("refine = two", "refine:"),
     ("config = other.cfg", "'config'"),
     ("x = 0.3", "'x' names no optional flag of dominate"),
+    ("semigroup = poisson", "'semigroup' names no optional flag of dominate"),
 ])
 def test_config_file_bad_keys_exit_2(tmp_path, capsys, line, needle):
     cfg = tmp_path / "run.cfg"
@@ -243,6 +244,15 @@ def test_spectral_route_on_a_pointwise_entry_exits_2(capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: spectral route needs a Hermite series representation\n"
+
+
+def test_config_file_seed_is_verify_only(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\n")
+    code, out, err = run_cli(capsys, "converge", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "'seed' names no optional flag of converge" in err
 
 
 def test_load_config_file_parsing(tmp_path):
@@ -315,6 +325,91 @@ def test_error_exits(capsys):
                            "--path-points", "5")
     assert code == 2
     assert "alpha" in err
+
+
+# the flags each subcommand's handler reads, and no others
+FLAGS = {
+    "hermite-eval": {"--beta", "--x"},
+    "coeff": {"--config", "--dim", "--gh-nodes", "--function", "--beta"},
+    **{
+        command: {"--config", "--dim", "--gh-nodes", "--function", "--x", "--t", "--route"}
+        for command in ("ou-apply", "poisson-apply")
+    },
+    "maximal": {"--config", "--dim", "--gh-nodes", "--function", "--x", "--semigroup", "--cone"},
+    **{
+        command: {
+            "--config", "--dim", "--gh-nodes", "--function", "--apex", "--out", "--format",
+            "--semigroup", "--cone", "--eta", "--decay", "--path-points", extra,
+        }
+        for command, extra in (("converge", "--alphas"), ("contrast", "--exponent"))
+    },
+    "dominate": {
+        "--config", "--dim", "--gh-nodes", "--function", "--apex", "--out", "--format", "--refine",
+    },
+    "verify": {"--config", "--gh-nodes", "--seed", "--level", "--out"},
+}
+
+
+def test_each_subcommand_parses_only_the_flags_it_reads():
+    commands = build_parser().commands
+    flags = {
+        name: {opt for a in sub._actions if a.dest != "help" for opt in a.option_strings}
+        for name, sub in commands.items()
+    }
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 67
+
+
+REQUIRED = {
+    "hermite-eval": ("--beta", "1", "--x", "0.5"),
+    "coeff": ("--function", "x", "--beta", "1"),
+    "ou-apply": ("--function", "one", "--x", "0.3", "--t", "0.5"),
+    "poisson-apply": ("--function", "one", "--x", "0.3", "--t", "0.5"),
+    "maximal": ("--function", "one", "--x", "0.3"),
+}
+REMOVED = [
+    *(("hermite-eval", flag, value) for flag, value in (
+        ("--config", "run.cfg"), ("--dim", "2"), ("--gh-nodes", "8"), ("--seed", "7"))),
+    *((command, "--seed", "7") for command in (
+        "coeff", "ou-apply", "poisson-apply", "maximal", "converge", "contrast", "dominate")),
+    ("contrast", "--alphas", "0.1,0.01"),
+    *(("dominate", flag, value) for flag, value in (
+        ("--semigroup", "poisson"), ("--cone", "gaussian"), ("--eta", "0.9"),
+        ("--decay", "0.2"), ("--path-points", "3"), ("--alphas", "0.5"))),
+    ("verify", "--dim", "2"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED)
+def test_a_flag_no_handler_reads_exits_2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED.get(command, ()), flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_dominate_rejects_another_semigroup_and_cone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dominate", "--function", "bump", "--semigroup", "poisson", "--cone", "gaussian"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("converge", "--alphas", "0.1,x"), "argument --alphas: expected comma-separated numbers"),
+    (("dominate", "--apex", "1,x"), "argument --apex: expected comma-separated numbers"),
+    (("ou-apply", "--function", "one", "--x", "x", "--t", "1"), "argument --x: expected"),
+    (("hermite-eval", "--beta", "1.5", "--x", "0"), "expected comma-separated integers"),
+])
+def test_a_malformed_list_flag_exits_2(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert needle in captured.err
 
 
 def test_console_script_installed():

@@ -178,6 +178,12 @@ def test_domination_rejects_signed_function():
         run_domination_report(ExperimentConfig(function="h_1", apexes=((0.0,),)))
 
 
+def test_domination_is_ou_only():
+    # the report always takes the OU truncated-parabolic cone
+    with pytest.raises(ValueError, match="semigroup: domination reports are OU only"):
+        run_domination_report(ExperimentConfig(semigroup="poisson", function="bump"))
+
+
 def test_domination_refinement_stability():
     cfg = ExperimentConfig(function="bump", apexes=((0.0,), (1.0,)))
     base = run_domination_report(cfg, refine_factor=1)

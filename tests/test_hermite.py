@@ -469,3 +469,32 @@ def test_quadrature_config_validation():
         LogGrid(1, 1e-3, 1.0)
     with pytest.raises(ValueError):
         LogGrid(8, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [64.5, 8.0, True, "8"])
+@pytest.mark.parametrize("name", ["gh_nodes", "ball_nodes", "cross_radial", "cross_angular"])
+def test_quadrature_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        QuadratureConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [8.5, 8.0, True])
+def test_log_grid_count_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        LogGrid(value, 1e-3, 1.0)
+
+
+def test_integer_counts_of_any_integer_type_pass():
+    cfg = QuadratureConfig(gh_nodes=np.int64(16), cross_angular=np.int32(4))
+    assert cfg.refined(2).gh_nodes == 32
+    assert LogGrid(np.int64(9), 1e-3, 1.0).values().size == 9
+
+
+def test_gauss_hermite_grid_scope():
+    with pytest.raises(ValueError, match="d <= 3"):
+        gauss_hermite_grid(4, 2)
+    with pytest.raises(ValueError, match="d <= 3"):
+        gauss_hermite_grid(0, 8)
+    # d = 3 keeps the 40M-node cap: 341^3 is under it, 342^3 over
+    with pytest.raises(ValueError, match="too large"):
+        gauss_hermite_grid(3, 342)

@@ -21,7 +21,17 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import mehler.hermite as hermite_module
-from mehler import HermiteSeries, PointwiseFunction, QuadratureConfig, catalog_entry
+from mehler import (
+    HermiteSeries,
+    PointwiseFunction,
+    QuadratureConfig,
+    catalog_entry,
+    fourier_hermite_coeff,
+    hermite_eval,
+    hermite_expand,
+    ou_apply,
+    poisson_apply,
+)
 from mehler.measure import (
     GaussianBall,
     MaximalEstimate,
@@ -366,4 +376,27 @@ def test_d4_raises_before_any_quadrature():
         gaussian_ball_measure(GaussianBall((0.0,) * 4, 1.0), CFG)
     with pytest.raises(ValueError, match="d <= 3"):
         _directions(4, CFG.cross_angular)
+    # the Gauss-Hermite grid: 64^4 nodes would take 0.67 GB, so take 4 per
+    # axis, which the grid would build if d = 4 were admitted
+    small, x = QuadratureConfig(gh_nodes=4), np.zeros(4)
+    for run in (
+        lambda: ou_apply(f, x, 0.5, "auto", small),
+        lambda: poisson_apply(f, x, 0.5, "auto", small),
+        lambda: gaussian_norm(f, 2.0, small),
+        lambda: fourier_hermite_coeff(f, (0, 0, 0, 0), small),
+        lambda: hermite_expand(f, 1, small),
+    ):
+        with pytest.raises(ValueError, match="d <= 3"):
+            run()
     assert calls == []
+
+
+def test_d4_series_keep_their_spectral_routes():
+    s = HermiteSeries(4, {(1, 0, 0, 0): 1.0, (0, 2, 0, 1): 0.5})
+    x, t = (0.3, -0.2, 0.1, 0.4), 0.5
+    h1, h2 = hermite_eval((1, 0, 0, 0), x), hermite_eval((0, 2, 0, 1), x)
+    ou = ou_apply(s, x, t, "spectral")
+    assert ou == pytest.approx(math.exp(-t) * h1 + 0.5 * math.exp(-3 * t) * h2, rel=1e-14)
+    po = poisson_apply(s, x, t, "spectral")
+    assert po == pytest.approx(math.exp(-t) * h1 + 0.5 * math.exp(-math.sqrt(3) * t) * h2,
+                               rel=1e-14)
