@@ -11,6 +11,9 @@ radius aperture(t) around x:
 1/|x| is read as +infinity at the origin, so the shrink-with-|x| clause
 never binds there. Paths are deterministic: a geometric time ladder and a
 fixed unit direction scaled by a fraction of the aperture.
+
+The cone suprema of `mehler.ou` search the grid of `_cone_grid`, built as
+one (times, cells, d) array; cross-sections are built for d <= 3.
 """
 
 from __future__ import annotations
@@ -79,6 +82,71 @@ class ConeSpec:
 
     def apex_array(self) -> np.ndarray:
         return np.asarray(self.apex, dtype=float)
+
+
+def _cross_fractions(count: int) -> tuple[float, ...]:
+    """Aperture fractions: half spread over the body, half bunched at the wall."""
+    inner = count // 2
+    outer = count - inner
+    body = np.linspace(0.0, 1.0, inner, endpoint=False)
+    wall = 1.0 - np.power(10.0, -np.arange(1, outer + 1, dtype=float))
+    return tuple(float(v) for v in np.concatenate([body, wall]))
+
+
+def _directions(dimension: int, count: int) -> np.ndarray:
+    """Deterministic unit directions: signs in d=1, a circle in d=2, a spiral sphere in d=3."""
+    if dimension == 1:
+        return np.array([[1.0], [-1.0]])
+    if dimension == 2:
+        ang = 2.0 * math.pi * np.arange(count) / count
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    if dimension != 3:
+        raise ValueError(f"cone cross-sections are built for d <= 3, got d = {dimension}")
+    m = max(count, 4)
+    k = np.arange(m, dtype=float) + 0.5
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * k
+    z = 1.0 - 2.0 * k / m
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def _positive_times(times) -> np.ndarray:
+    ts = np.sort(np.asarray(times, dtype=float))
+    if ts.size == 0 or not np.all(ts > 0.0):
+        raise ValueError("times must be positive")
+    return ts
+
+
+def _cone_grid(
+    spec: ConeSpec, cfg: QuadratureConfig, times=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ts, cells): the searched times, ascending, and the (times, cells, d) cells at each.
+
+    The default ladder is the configured log time grid, its top pulled to
+    (1 - 1e-9) * cap under a finite time cap. At each time the apex comes
+    first, then rings at the nonzero fractions of `_cross_fractions` of the
+    aperture along `_directions`, and the cells are sorted
+    lexicographically, which fixes the winner among equal values.
+    """
+    if times is None:
+        cap = spec.time_cap
+        lo, hi = cfg.time_grid.lo, cfg.time_grid.hi
+        if math.isfinite(cap):
+            hi = (1.0 - 1e-9) * cap
+            lo = min(lo, 1e-4 * hi)
+        ts = np.geomspace(lo, hi, cfg.time_grid.count)
+    else:
+        ts = _positive_times(times)
+        if not np.all(ts < spec.time_cap):
+            raise ValueError("times must sit below the cone's time cap")
+    fracs = np.array([fr for fr in _cross_fractions(cfg.cross_radial) if fr != 0.0])
+    dirs = _directions(spec.dimension, cfg.cross_angular)
+    radii = fracs[None, :] * np.array([spec.aperture(t) for t in ts])[:, None]
+    rings = (radii[:, :, None, None] * dirs).reshape(ts.size, -1, spec.dimension)
+    offsets = np.concatenate([np.zeros((ts.size, 1, spec.dimension)), rings], axis=1)
+    cells = spec.apex_array() + offsets
+    order = np.lexsort(np.moveaxis(cells[..., ::-1], -1, 0), axis=-1)
+    return ts, np.take_along_axis(cells, order[..., None], axis=1)
 
 
 def cone_contains(spec: ConeSpec, y, t: float) -> bool:

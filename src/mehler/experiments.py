@@ -199,11 +199,18 @@ def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> d
 
     Requires the OU semigroup, whose truncated-parabolic cone the report
     always takes, and a nonnegative catalog entry (the pointwise bound is
-    stated for f >= 0). Also carries the three-term time-supremum bound
-    ingredients so an empirical constant can be read off either table.
+    stated for f >= 0). config.cone must be that cone or the field default;
+    an explicit "parabolic-gaussian" is the default and cannot be told
+    apart from it, so it is accepted too. Also carries the three-term
+    time-supremum bound ingredients so an empirical constant can be read
+    off either table.
     """
     if config.semigroup != "ou":
         raise ValueError(f"semigroup: domination reports are OU only, got {config.semigroup!r}")
+    if config.cone not in (ExperimentConfig.cone, "truncated-parabolic"):
+        raise ValueError(
+            f"cone: domination reports take the truncated-parabolic cone, got {config.cone!r}"
+        )
     entry = catalog_entry(config.function, config.dimension)
     if not entry.nonnegative:
         raise ValueError(

@@ -8,8 +8,8 @@ it resolves 'auto' (spectral for series), checks the times and takes S_t f
 by any route at a list of (point, time) pairs. apply, the transform, the
 time supremum and the paths and checks of `mehler.experiments` are calls to
 it, and each public `ou_apply*` and `poisson_apply*` function is one call to
-apply. The scope is d <= 3: cone cross-sections, like the ball rules of
-`mehler.measure`, raise ValueError above it.
+apply. The scope is d <= 3: cone cross-sections (`mehler.cones._cone_grid`),
+like the ball rules of `mehler.measure`, raise ValueError above it.
 
 T_t's routes (its cones are "parabolic-gaussian" and "truncated-parabolic"):
 
@@ -68,7 +68,9 @@ Series inputs keep the spectral route.
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
 toward the smallest time and then lexicographically in the point so
-repeated runs land on the same argmax.
+repeated runs land on the same argmax. A cone supremum takes its (time x
+cell) grid whole from `mehler.cones._cone_grid` and evaluates it by one
+`Semigroup.values` call for a series, else by `_section_values` per time.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from typing import Callable
 import numpy as np
 
 from . import hermite
-from .cones import ConeSpec
+from .cones import ConeSpec, _cone_grid, _positive_times
 from .hermite import (
     DEFAULT_CONFIG,
     FunctionRep,
@@ -234,61 +236,6 @@ def _multiplied(series: HermiteSeries, factor: Callable[[int], float]) -> Hermit
     )
 
 
-def _cross_fractions(count: int) -> tuple[float, ...]:
-    """Aperture fractions: half spread over the body, half bunched at the wall."""
-    inner = count // 2
-    outer = count - inner
-    body = np.linspace(0.0, 1.0, inner, endpoint=False)
-    wall = 1.0 - np.power(10.0, -np.arange(1, outer + 1, dtype=float))
-    return tuple(float(v) for v in np.concatenate([body, wall]))
-
-
-def _directions(dimension: int, count: int) -> np.ndarray:
-    """Deterministic unit directions: signs in d=1, a circle in d=2, a spiral sphere in d=3."""
-    if dimension == 1:
-        return np.array([[1.0], [-1.0]])
-    if dimension == 2:
-        ang = 2.0 * math.pi * np.arange(count) / count
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if dimension != 3:
-        raise ValueError(f"cone cross-sections are built for d <= 3, got d = {dimension}")
-    m = max(count, 4)
-    k = np.arange(m, dtype=float) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * k
-    z = 1.0 - 2.0 * k / m
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-
-
-def _positive_times(times) -> np.ndarray:
-    ts = np.sort(np.asarray(times, dtype=float))
-    if ts.size == 0 or not np.all(ts > 0.0):
-        raise ValueError("times must be positive")
-    return ts
-
-
-def _cone_times(spec: ConeSpec, cfg: QuadratureConfig) -> np.ndarray:
-    cap = spec.time_cap
-    lo, hi = cfg.time_grid.lo, cfg.time_grid.hi
-    if math.isfinite(cap):
-        hi = (1.0 - 1e-9) * cap
-        lo = min(lo, 1e-4 * hi)
-    return np.geomspace(lo, hi, cfg.time_grid.count)
-
-
-def _cross_section(apex: np.ndarray, aperture: float, fractions, directions) -> np.ndarray:
-    """The apex, then rings at the given fractions of the aperture, in lexicographic order."""
-    offsets = [np.zeros(apex.size)]
-    for fr in fractions:
-        if fr == 0.0:
-            continue
-        for u in directions:
-            offsets.append(fr * aperture * u)
-    pts = apex[None, :] + np.asarray(offsets)
-    # lexicographic point order fixes the winner among equal values
-    return pts[np.lexsort(pts.T[::-1])]
-
-
 @dataclass(frozen=True, eq=False)
 class Semigroup:
     """S_t from its decay rate on chaos k = |beta|, its routes and its cones.
@@ -391,38 +338,27 @@ class Semigroup:
         return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
     def cone_maximal(
-        self, f, x, kind: str, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None, fractions=None
+        self, f, x, kind: str, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None
     ) -> MaximalEstimate:
         """sup |S_t f(y)| over (y, t) inside the cone of the given kind at apex x.
 
-        The grid is the product of a log time ladder honoring the cone's time
-        window with, at each time, rings of points at fixed fractions of the
-        aperture. The achieving (y, t) pair is returned as the argmax.
+        The grid is `mehler.cones._cone_grid`: a log time ladder honoring the
+        cone's time window and, at each time, rings of points at fixed
+        fractions of the aperture. The achieving (y, t) pair is the argmax.
         """
         if kind not in self.cones:
             raise ValueError(f"kind must be one of {self.cones}, got {kind!r}")
         f = as_function(f)
         xa = _single_point(x, f.dimension)
-        spec = ConeSpec(tuple(float(c) for c in xa), kind)
-        if times is None:
-            ts = _cone_times(spec, cfg)
-        else:
-            ts = _positive_times(times)
-            if not np.all(ts < spec.time_cap):
-                raise ValueError("times must sit below the cone's time cap")
-        fracs = _cross_fractions(cfg.cross_radial) if fractions is None else tuple(fractions)
-        if any(not 0.0 <= fr < 1.0 for fr in fracs):
-            raise ValueError("fractions must lie in [0, 1)")
-        dirs = _directions(f.dimension, cfg.cross_angular)
-        sections = [_cross_section(xa, spec.aperture(float(t)), fracs, dirs) for t in ts]
-        pts = np.concatenate(sections)
-        pt_times = np.repeat(ts, [section.shape[0] for section in sections])
+        ts, cells = _cone_grid(ConeSpec(xa, kind), cfg, times)
+        pts = cells.reshape(-1, f.dimension)
+        pt_times = np.repeat(ts, cells.shape[1])
         if _series_of(f) is not None:
             vals = self.values(f, pts, pt_times, "auto", cfg)
         else:
             vals = np.concatenate([
                 _section_values(f, xa, section, _folded_rows(*self.mixture(float(t))), cfg)
-                for section, t in zip(sections, ts)
+                for section, t in zip(cells, ts)
             ])
         # grid order is t ascending, then lexicographic y: the first largest wins ties
         value, arg = _first_max(
@@ -488,10 +424,9 @@ def nontangential_maximal(
     kind: str = "parabolic-gaussian",
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     times=None,
-    fractions=None,
 ) -> MaximalEstimate:
     """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see Semigroup.cone_maximal."""
-    return OU.cone_maximal(f, x, kind, cfg, times, fractions)
+    return OU.cone_maximal(f, x, kind, cfg, times)
 
 
 def maximal_bound_report(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:

@@ -18,10 +18,14 @@ semigroup, as `mehler.ou.OU` is T_t. This module keeps what is Poisson's
 own: the two mixtures.
 
 The two quadrature layouts are frozen after calibration against the scalar
-identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}:
-the square rule's worst error over lambda in [0, 5] is below 1e-11 at its
-default budget of 200 nodes, and the kernel rule reproduces eigenvalue decay
-to about 1e-10 for t in [0.1, 4].
+identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}.
+At its default budget of 200 nodes the square rule errs by less than 1e-11
+at lambda = 0 and over lambda in [1e-5, 5] (at most 7.5e-12 there). Between
+them it does not: where the step of e^{-lambda^2/4v^2} at v ~ lambda/2
+falls inside the first panel [0, 1e-6], the error grows like lambda, from
+1e-12 at lambda = 1e-12 to 9.4e-10 at 1e-9 and a peak of 5e-9 near 4e-8,
+then falls back: 2.8e-9 at 1e-7, 3.6e-11 at 1.1e-6. The kernel rule
+reproduces eigenvalue decay to about 1e-10 for t in [0.1, 4].
 """
 
 from __future__ import annotations
@@ -189,7 +193,6 @@ def poisson_nontangential_maximal(
     x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     times=None,
-    fractions=None,
 ) -> MaximalEstimate:
     """sup |P_t f(y)| over the linear-aperture gaussian cone at apex x.
 
@@ -197,4 +200,4 @@ def poisson_nontangential_maximal(
     aperture-fraction rings, ties resolved toward small t then lexicographic
     y, with the achieving (y, t) pair returned.
     """
-    return POISSON.cone_maximal(f, x, "gaussian", cfg, times, fractions)
+    return POISSON.cone_maximal(f, x, "gaussian", cfg, times)

@@ -19,13 +19,12 @@ import pytest
 import mehler.hermite as hermite_module
 import mehler.ou as ou_module
 from mehler import PointwiseFunction, QuadratureConfig, catalog_entry
-from mehler.cones import ConeSpec
+from mehler.cones import ConeSpec, _cone_grid
 from mehler.hermite import LogGrid
 from mehler.measure import hl_maximal
 from mehler.ou import (
     OU,
     _TILT_CAP,
-    _cross_section,
     _folded_rows,
     _mixture_values,
     _section_values,
@@ -54,13 +53,7 @@ SEMIGROUPS = {
 def section(sg, kind: str, apex, t: float, cfg=CFG):
     """(apex, cells, folded rows) of the cross-section of the cone at time t."""
     xa = np.asarray(apex, dtype=float)
-    d = xa.size
-    pts = _cross_section(
-        xa,
-        ConeSpec(tuple(apex), kind).aperture(t),
-        ou_module._cross_fractions(cfg.cross_radial),
-        ou_module._directions(d, cfg.cross_angular),
-    )
+    pts = _cone_grid(ConeSpec(tuple(apex), kind), cfg, (t,))[1][0]
     return xa, pts, _folded_rows(*sg.mixture(t))
 
 
@@ -104,7 +97,7 @@ def tilted_integrals(semigroup: str, apex):
     """
     dimension = len(apex)
     if semigroup == "ou":
-        times = ou_module._cone_times(ConeSpec(apex, "truncated-parabolic"), CFG)
+        times = _cone_grid(ConeSpec(apex, "truncated-parabolic"), CFG)[0]
         for t in times[:: 8 if dimension == 3 else 1]:
             xa, pts, (r, s, _) = section(OU, "truncated-parabolic", apex, t)
             yield xa, pts, r[0], s[0]
@@ -262,8 +255,8 @@ def test_refined_ladders_contain_the_default_ones():
     fine_cfg = CFG.refined(2)
     for kind in ("parabolic-gaussian", "truncated-parabolic"):
         spec = ConeSpec((1.5, 1.5), kind)
-        coarse = ou_module._cone_times(spec, CFG)
-        fine = ou_module._cone_times(spec, fine_cfg)
+        coarse = _cone_grid(spec, CFG)[0]
+        fine = _cone_grid(spec, fine_cfg)[0]
         np.testing.assert_allclose(fine[::2], coarse, rtol=1e-14, atol=0.0)
 
 

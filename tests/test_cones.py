@@ -19,10 +19,14 @@ from mehler.cones import (
     CONE_KINDS,
     ApproachPath,
     ConeSpec,
+    _cone_grid,
+    _cross_fractions,
+    _directions,
     cone_contains,
     cone_path,
     tangential_path,
 )
+from mehler.hermite import QuadratureConfig
 
 PARABOLIC = "parabolic-gaussian"
 GAUSSIAN = "gaussian"
@@ -97,6 +101,54 @@ def test_truncated_aperture_vanishes_outside_window():
     spec = ConeSpec((0.0,), TRUNCATED)
     assert spec.aperture(0.3) == 0.0
     assert spec.aperture(0.2) == pytest.approx(math.sqrt(0.2))
+
+
+# ---------------------------------------------------------------------------
+# the cone grid of the suprema
+# ---------------------------------------------------------------------------
+
+
+def loop_grid(spec: ConeSpec, cfg: QuadratureConfig, times):
+    """The grid built one time at a time: the ladder, then each cross-section."""
+    if times is None:
+        cap = spec.time_cap
+        lo, hi = cfg.time_grid.lo, cfg.time_grid.hi
+        if math.isfinite(cap):
+            hi = (1.0 - 1e-9) * cap
+            lo = min(lo, 1e-4 * hi)
+        ts = np.geomspace(lo, hi, cfg.time_grid.count)
+    else:
+        ts = np.sort(np.asarray(times, dtype=float))
+    apex = spec.apex_array()
+    sections = []
+    for t in ts:
+        aperture = spec.aperture(float(t))
+        offsets = [np.zeros(apex.size)]
+        for fr in _cross_fractions(cfg.cross_radial):
+            if fr == 0.0:
+                continue
+            for u in _directions(apex.size, cfg.cross_angular):
+                offsets.append(fr * aperture * u)
+        pts = apex[None, :] + np.asarray(offsets)
+        sections.append(pts[np.lexsort(pts.T[::-1])])
+    return ts, np.stack(sections)
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("refine", [1, 2])
+def test_cone_grid_is_the_per_time_loop(kind, dimension, refine):
+    # bit for bit, on the default ladder and an unsorted list below every
+    # cap, at the origin and at |x| = 3, where 1/|x| and the cap 1/9 bind
+    cfg = QuadratureConfig() if refine == 1 else QuadratureConfig().refined(refine)
+    for norm in (0.0, 3.0):
+        apex = (norm,) + (0.0,) * (dimension - 1)
+        spec = ConeSpec(apex, kind)
+        for times in (None, (0.05, 1e-3, 0.1, 0.02)):
+            ts, cells = _cone_grid(spec, cfg, times)
+            want_ts, want_cells = loop_grid(spec, cfg, times)
+            assert np.array_equal(ts, want_ts)
+            assert np.array_equal(cells, want_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,18 @@ def test_domination_is_ou_only():
         run_domination_report(ExperimentConfig(semigroup="poisson", function="bump"))
 
 
+def test_domination_takes_only_the_truncated_cone():
+    # "gaussian" is refused; the default cone and an explicit one that
+    # equals it cannot be told apart, and both give the truncated report
+    with pytest.raises(ValueError, match="cone: domination reports take the truncated-parabolic"):
+        run_domination_report(ExperimentConfig(function="one", cone="gaussian"))
+    reports = [
+        run_domination_report(ExperimentConfig(function="one", **kw))
+        for kw in ({}, {"cone": "parabolic-gaussian"}, {"cone": "truncated-parabolic"})
+    ]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_domination_refinement_stability():
     cfg = ExperimentConfig(function="bump", apexes=((0.0,), (1.0,)))
     base = run_domination_report(cfg, refine_factor=1)

@@ -366,7 +366,7 @@ def test_maximal_estimate_validation():
 
 
 def test_d4_raises_before_any_quadrature():
-    from mehler.ou import _directions
+    from mehler.cones import _directions
 
     calls = []
     f = PointwiseFunction(4, lambda p: calls.append(p.shape) or np.ones(p.shape[0]))

@@ -35,7 +35,7 @@ from mehler import (
     project_chaos,
 )
 from mehler.cli import build_parser
-from mehler.cones import ConeSpec
+from mehler.cones import ConeSpec, _cross_fractions, _directions
 from mehler.experiments import SEMIGROUPS
 from mehler.ou import (
     OU,
@@ -710,13 +710,15 @@ def test_cone_argmax_of_a_constant_is_the_first_cell(dimension):
     # lexicographically smallest point of its cross-section
     one = HermiteSeries(dimension, {(0,) * dimension: 1.0})
     apex = np.linspace(0.3, -0.4, dimension)
-    times, fractions = (0.02, 0.01), (0.0, 0.5, 0.9)
-    est = nontangential_maximal(one, apex, "parabolic-gaussian", CFG, times, fractions)
+    times = (0.02, 0.01)
+    est = nontangential_maximal(one, apex, "parabolic-gaussian", CFG, times)
     a = ConeSpec(tuple(apex), "parabolic-gaussian").aperture(0.01)
+    fractions = _cross_fractions(CFG.cross_radial)
+    assert fractions[0] == 0.0
     cells = [tuple(apex)] + [
         tuple(apex + fr * a * u)
         for fr in fractions[1:]
-        for u in ou_module._directions(dimension, CFG.cross_angular)
+        for u in _directions(dimension, CFG.cross_angular)
     ]
     assert est.value == 1.0
     assert est.argmax == (min(cells), 0.01)
@@ -738,7 +740,6 @@ SUPREMA = {
         f, 0.5, CFG, **kw
     ),
 }
-CONE_SUPREMA = ("nontangential_maximal", "poisson_nontangential_maximal")
 
 
 @pytest.mark.parametrize("name", sorted(SUPREMA))
@@ -749,15 +750,6 @@ def test_suprema_reject_bad_time_lists(name, f):
     for times in ((), (0.1, 0.0), (-0.1,), (0.1, -math.inf)):
         with pytest.raises(ValueError, match="positive"):
             sup(f, times=times)
-
-
-@pytest.mark.parametrize("name", CONE_SUPREMA)
-def test_cone_suprema_reject_fractions_outside_the_unit_interval(name):
-    sup = SUPREMA[name]
-    assert sup(H2, times=(0.1,), fractions=(0.0, 0.99)).grid_size > 1
-    for fractions in ((0.0, 1.0), (-0.1, 0.5), (1.5,)):
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            sup(H2, times=(0.1,), fractions=fractions)
 
 
 @pytest.mark.parametrize(
@@ -784,6 +776,6 @@ def test_transform_names_carry_the_semigroup_letter():
 
 
 def test_cross_sections_stop_at_dimension_three():
-    assert ou_module._directions(3, CFG.cross_angular).shape == (8, 3)
+    assert _directions(3, CFG.cross_angular).shape == (8, 3)
     with pytest.raises(ValueError, match="d <= 3"):
-        ou_module._directions(4, CFG.cross_angular)
+        _directions(4, CFG.cross_angular)

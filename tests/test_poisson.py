@@ -94,6 +94,14 @@ def test_bochner_identity_square_scheme():
         assert bochner_identity_error(lam) <= 1e-10
 
 
+def test_bochner_identity_square_scheme_range():
+    # the documented range: below 1e-11 at 0 and over [1e-5, 5]; between
+    # 1e-12 and about 1e-6 the step of the integrand sits in the first panel
+    assert bochner_identity_error(0.0) <= 1e-11
+    for lam in np.geomspace(1e-5, 5.0, 200):
+        assert bochner_identity_error(lam) <= 1e-11, lam
+
+
 def test_bochner_identity_split_scheme():
     u, omega = split_rule()
     for lam in (0.0, 0.5, 1.0, 2.0, 5.0):
@@ -304,14 +312,15 @@ def test_nontangential_dominates_on_grid_members():
 def test_argmax_of_a_constant_is_the_first_cell(dimension):
     # every cell of P_t 1 = 1 ties: the smallest time wins, then the
     # lexicographically smallest point of its cross-section
-    from mehler.cones import ConeSpec
-    from mehler.ou import _directions
+    from mehler.cones import ConeSpec, _cross_fractions, _directions
 
     one = HermiteSeries(dimension, {(0,) * dimension: 1.0})
     apex = np.linspace(0.3, -0.4, dimension)
-    times, fractions = (0.02, 0.01), (0.0, 0.5, 0.9)
-    est = poisson_nontangential_maximal(one, apex, CFG, times, fractions)
+    times = (0.02, 0.01)
+    est = poisson_nontangential_maximal(one, apex, CFG, times)
     a = ConeSpec(tuple(apex), "gaussian").aperture(0.01)
+    fractions = _cross_fractions(CFG.cross_radial)
+    assert fractions[0] == 0.0
     cells = [tuple(apex)] + [
         tuple(apex + fr * a * u)
         for fr in fractions[1:]

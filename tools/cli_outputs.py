@@ -46,6 +46,12 @@ COMMANDS = {
                                               "--x", "0.3,0.2"],
     "maximal-ou-truncated-ball-d3.json": ["maximal", "--function", "ball", "--dim", "3",
                                           "--x", "0.4,0.1,-0.3", "--cone", "truncated-parabolic"],
+    "maximal-ou-parabolic-bump-d2.json": ["maximal", "--function", "bump", "--dim", "2",
+                                          "--x", "0.3,0.2", "--cone", "parabolic-gaussian"],
+    "maximal-ou-parabolic-x2-d2.json": ["maximal", "--function", "x2", "--dim", "2",
+                                        "--x", "0.3,0.2", "--cone", "parabolic-gaussian"],
+    "maximal-ou-parabolic-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5",
+                                          "--cone", "parabolic-gaussian"],
     "maximal-ou-time-ball-d1.json": ["maximal", "--function", "ball", "--x", "0.5"],
     "maximal-ou-time-x3-d2.json": ["maximal", "--function", "x3", "--dim", "2", "--x", "0.3,0.2"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
