@@ -34,9 +34,10 @@ from .hermite import (
     HermiteSeries,
     PointwiseFunction,
     QuadratureConfig,
+    _gh_blocks,
     _hermite_rows,
-    _node_blocks,
     enumerate_multi_indices,
+    gauss_hermite_grid,
     generator_apply,
 )
 from .measure import _first_max, gaussian_norm
@@ -256,7 +257,9 @@ def run_domination_report(config: ExperimentConfig, refine_factor: int = 1) -> d
 def _orthonormality_margin(dimension: int, max_degree: int, cfg: QuadratureConfig) -> float:
     terms = [(b, 1.0) for b in enumerate_multi_indices(dimension, max_degree)]
     gram = np.zeros((len(terms), len(terms)))
-    for nodes, wts in _node_blocks(dimension, cfg):
+    rule = gauss_hermite_grid(dimension, cfg.gh_nodes)
+    _, _, blocks = next(_gh_blocks(None, np.zeros((1, dimension)), np.ones(1), np.ones(1), rule))
+    for nodes, _, wts in blocks:
         mat = np.array(list(_hermite_rows(terms, nodes)))
         gram += (mat * wts[None, :]) @ mat.T
     return float(np.max(np.abs(gram - np.eye(len(terms)))))
@@ -347,12 +350,13 @@ def _contraction_margin(cfg: QuadratureConfig, names, dimension: int = 1) -> flo
 
 def _cone_inclusion_margin(samples: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
+    dims = rng.integers(1, 4, size=samples).tolist()
+    apexes = rng.uniform(-5.0, 5.0, size=(samples, 3))
+    times = rng.uniform(1e-6, 0.3, size=samples).tolist()
+    offsets = rng.uniform(-1.0, 1.0, size=(samples, 3))
     violations = 0
-    for _ in range(samples):
-        d = int(rng.integers(1, 4))
-        x = rng.uniform(-5.0, 5.0, size=d)
-        t = float(rng.uniform(1e-6, 0.3))
-        y = x + rng.uniform(-1.0, 1.0, size=d)
+    for d, x, t, offset in zip(dims, apexes, times, offsets):
+        x, y = x[:d], x[:d] + offset[:d]
         if cone_contains(ConeSpec(x, "truncated-parabolic"), y, t):
             if not cone_contains(ConeSpec(x, "parabolic-gaussian"), y, t):
                 violations += 1

@@ -4,7 +4,9 @@ The measure is gamma_d(dx) = pi^(-d/2) exp(-|x|^2) dx.  Balls are closed;
 ball integrals are deterministic: closed forms for the d = 1 measure,
 else one polar profile per centre (`_ball_profile`), Gauss-Legendre panels
 on the radius ladder times a sphere rule, whose cumulative sums give every
-radius from one pass of f in blocks of `hermite._BLOCK_POINTS` points.
+radius from one pass of f. That pass is a walk of `hermite._gh_blocks`,
+the one packer of f's calls: its rows are the radii, its point the centre
+and its rule the sphere rule, laid out (m, d) like a Gauss-Hermite grid.
 The scope is d <= 3, the dimensions of the catalog and of `ExperimentConfig`:
 ball rules above it raise ValueError.  The semigroups of `mehler.ou` and
 `mehler.poisson` share one core there, a decay rate on Hermite chaos plus a
@@ -35,11 +37,11 @@ from typing import Union
 
 import numpy as np
 
-from mehler import hermite
 from mehler.hermite import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _coefficients,
+    _gh_blocks,
     _require_finite,
     _single_point,
     as_function,
@@ -138,7 +140,7 @@ def _panel_points(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarra
 
 @lru_cache(maxsize=16)
 def _sphere_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d, m) directions on S^(d-1) and their surface weights over pi^(d/2).
+    """(m, d) directions on S^(d-1) and their surface weights over pi^(d/2).
 
     d = 1: -1 and +1. d = 3: n/4 Gauss-Legendre nodes z = cos(theta) times
     n/2 equispaced angles phi; d = 2 is its ring z = 0 with n angles.
@@ -156,6 +158,7 @@ def _sphere_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         dirs = np.stack(xy + [np.repeat(z, n_phi)])
         dirs, wts = dirs[:d], np.repeat(wz, n_phi) * (2.0 * math.pi / n_phi)
     wts = wts / math.pi ** (d / 2.0)
+    dirs = dirs.T  # Fortran-ordered, like gauss_hermite_grid's nodes
     dirs.flags.writeable = False
     wts.flags.writeable = False
     return dirs, wts
@@ -167,12 +170,11 @@ def _ball_profile(values, center: np.ndarray, radii: np.ndarray, cfg: Quadrature
     The radius takes ball_nodes/8 Gauss-Legendre nodes on each panel between 0
     and the points of cfg.radius_grid (continued geometrically past its top);
     a radius off that ladder adds one panel from the ladder point below it, so
-    its value depends on it alone. f gets blocks of whole radii, or of one
-    radius's directions, of at most _BLOCK_POINTS points; values None skips f.
+    its value depends on it alone. f gets the blocks of `hermite._gh_blocks`:
+    whole radii, or slices of one radius's directions; values None skips f.
     Both sums take the same weights, so f = 1 averages to exactly 1.
     """
     d = center.size
-    dirs, sw = _sphere_rule(d, cfg.ball_nodes)
     order = max(1, cfg.ball_nodes // 8)
     ladder = cfg.radius_grid.values()
     # past its top the ladder goes on geometrically: no panel is wider relative to rho
@@ -186,22 +188,14 @@ def _ball_profile(values, center: np.ndarray, radii: np.ndarray, cfg: Quadrature
     hi = np.concatenate([edges[1 : n_ladder + 1], radii[off]])
     rho, rw = _panel_points(lo, hi, order)
     rw = rw * rho ** (d - 1)
-    block = hermite._BLOCK_POINTS
-    rows_per_block = max(1, block // sw.size)
     sums = np.zeros((2, rho.size))
-    for start in range(0, rho.size, rows_per_block):
-        rows = slice(start, start + rows_per_block)
-        for first in range(0, sw.size, block):
-            u, w = dirs[:, first : first + block], sw[first : first + block]
-            # built as (d, rows, directions) so f gets contiguous coordinate columns
-            buf = (center[:, None, None] + rho[None, rows, None] * u[:, None, :]).reshape(d, -1)
-            g = np.exp(-np.sum(buf * buf, axis=0)).reshape(-1, w.size) * w
+    rule = _sphere_rule(d, cfg.ball_nodes)
+    for rows, _, blocks in _gh_blocks(values, center[None, :], np.ones(rho.size), rho, rule):
+        for pts, vals, w in blocks:
+            g = np.exp(-np.sum(pts.T * pts.T, axis=0)).reshape(-1, w.size) * w
             sums[1, rows] += g.sum(axis=1)
-            if values is not None:
-                pts = buf.T
-                vals = values(pts)
-                _require_finite(vals, pts, "integrand")
-                sums[0, rows] += (g * np.abs(vals).reshape(g.shape)).sum(axis=1)
+            if vals is not None:
+                sums[0, rows] += (g * np.abs(vals)).sum(axis=1)
     panels = (rw * sums).reshape(2, -1, order).sum(axis=2)
     out = np.concatenate([np.zeros((2, 1)), np.cumsum(panels[:, :n_ladder], axis=1)], axis=1)[:, k]
     out[:, off] += panels[:, n_ladder:]
@@ -214,8 +208,7 @@ def gaussian_ball_measure(ball: GaussianBall, cfg: QuadratureConfig = DEFAULT_CO
     d = 1 takes forms free of cancellation: a 16-node Gauss-Legendre sum on
     a short interval, else erf about 0, or erfc off 0 (within 1e-13 relative
     for |center| <= 20); d = 2, 3 take the polar profile of `hl_maximal`
-    (`_ball_profile`), blocked at _BLOCK_POINTS points; d > 3 raises
-    ValueError.
+    (`_ball_profile`); d > 3 raises ValueError.
     """
     if math.isinf(ball.radius):
         return 1.0

@@ -26,18 +26,18 @@ The t -> 0 blowup of the kernel normalization is never evaluated: the
 substitution stays well-conditioned down to t = 0 and covers t = +inf
 (where T_t f collapses to the gamma-mean of f).
 
-Every quadrature value of a black-box f takes f on c + s*nodes of one
-Gauss-Hermite rule, for a list of anchors (c, s), through the walker
-`hermite._gh_blocks`: blocks of at most `hermite._BLOCK_POINTS` = 2^14
-points, one anchor over node slices when its rule alone exceeds that (d =
-3 at 64 nodes per axis). The working memory is a block, under 0.4 MB of
-coordinates in d = 3, next to the cached GH grid (8.4 MB); it does not
-grow with the number of points or times. f gets a Fortran-ordered (n, d)
-view, as from the polar ball profile of `hl_maximal`: evaluators must not
-assume C-contiguity. The time suprema, paths, transforms and norms reduce
-to a weighted mixture sum_k w_k T_{t_k} f, one shifted integral per (row,
-point) in `_mixture_values`, which folds the times whose integrals are
-equal first (see _folded_rows).
+Every quadrature value of a black-box f takes f on r_k x_p + s_k*nodes of
+one Gauss-Hermite rule, for (row, point) pairs, through the walker
+`hermite._gh_blocks`, which alone packs f's calls: whole pairs into blocks
+of at most 2^14 points, or one pair over node slices when its rule alone
+exceeds that (d = 3 at 64 nodes per axis). The working memory is a block,
+under 0.4 MB of coordinates in d = 3, next to the cached GH grid (8.4 MB);
+it does not grow with the number of points or times. f gets a
+Fortran-ordered (n, d) view, from every walk, the polar ball profile of
+`hl_maximal` too: evaluators must not assume C-contiguity. The time
+suprema, paths, transforms and norms reduce to a weighted mixture sum_k
+w_k T_{t_k} f, one shifted integral per (row, point) in `_mixture_values`,
+which folds the times whose integrals are equal first (see _folded_rows).
 
 Cone suprema take a different rule for the cells of a cross-section at
 apex x, `_section_values`. With c = r x and delta = r(y - x)/s for a row
@@ -136,21 +136,16 @@ def _mixture_values(
     """sum_k w_k T_{t_k} f at each row of points, by shifted gaussian quadrature.
 
     rows is the (r, s, w) triple of _folded_rows. Each (row, point) pair is
-    the anchor (r_k x_p, s_k) of one integral. Pairs are taken row-major,
-    so each point's terms are summed in the order of the rows, and packed
-    into the blocks of `hermite._gh_blocks`. Each pair's integral is one dot
-    product of its own, so its bits do not depend on its place in a block.
+    the anchor (r_k x_p, s_k) of one integral. `hermite._gh_blocks` walks
+    the pairs row-major, so each point's terms are summed in the order of
+    the rows. Each pair's integral is summed over its node slices and is
+    one dot product per slice, so its bits do not depend on its place in a
+    block.
     """
-    d = f.dimension
     r, s, w = rows
-    n_points = points.shape[0]
-    rows_per_block = max(1, hermite._BLOCK_POINTS // cfg.gh_nodes**d)
-    n_rows = r.size * n_points
-    acc = np.zeros(n_points)
-    for start in range(0, n_rows, rows_per_block):
-        k, p = np.divmod(np.arange(start, min(start + rows_per_block, n_rows)), n_points)
-        blocks = hermite._gh_blocks(f.values, r[k, None] * points[p], s[k], d, cfg,
-                                    "semigroup integrand")
+    acc = np.zeros(points.shape[0])
+    rule = hermite.gauss_hermite_grid(f.dimension, cfg.gh_nodes)
+    for k, p, blocks in hermite._gh_blocks(f.values, points, r, s, rule, "semigroup integrand"):
         row_vals = np.zeros(k.size)
         for _, vals, wts in blocks:
             row_vals += np.vecdot(vals, wts)
@@ -181,8 +176,9 @@ def _tilted_integrals(
     width = trailing.shape[1]
     acc = np.zeros((g.size, cells))
     start = 0
-    blocks = hermite._gh_blocks(f.values, centre[None, :], np.array([scale]), d, cfg,
-                                "semigroup integrand")
+    rule = hermite.gauss_hermite_grid(d, cfg.gh_nodes)
+    _, _, blocks = next(hermite._gh_blocks(f.values, centre[None, :], np.ones(1),
+                                           np.array([scale]), rule, "semigroup integrand"))
     for _, vals, wts in blocks:
         first, skip = divmod(start, width)
         slices = -(-(skip + wts.size) // width)

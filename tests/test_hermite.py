@@ -471,6 +471,16 @@ def test_quadrature_config_validation():
         LogGrid(8, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("lo,hi", [(1e-4, math.inf), (1e-4, math.nan), (math.nan, 1.0)])
+def test_log_grid_bounds_must_be_finite(lo, hi):
+    # an infinite top gave the grid [1e-4, inf, inf, inf]: duplicate inf times
+    # in ou_maximal and a radius grid that hl_maximal rejects
+    with pytest.raises(ValueError, match="grid bounds must be finite"):
+        LogGrid(4, lo, hi)
+    with pytest.raises(ValueError, match="grid bounds must be finite"):
+        QuadratureConfig(time_grid=LogGrid(4, lo, hi))
+
+
 @pytest.mark.parametrize("value", [64.5, 8.0, True, "8"])
 @pytest.mark.parametrize("name", ["gh_nodes", "ball_nodes", "cross_radial", "cross_angular"])
 def test_quadrature_counts_must_be_integers(name, value):

@@ -32,6 +32,8 @@ COMMANDS = {
                               "--apex", "1.0", "--format", "json"],
     "ou-apply-ball-d3.txt": ["ou-apply", "--function", "ball", "--dim", "3",
                              "--x", "0.3,0.2,0.1", "--t", "0.5"],
+    "ou-apply-ball-d3-n40.txt": ["ou-apply", "--function", "ball", "--dim", "3",
+                                 "--x", "0.3,0.2,0.1", "--t", "0.5", "--gh-nodes", "40"],
     "ou-apply-change_of_var-bump-d2.txt": ["ou-apply", "--function", "bump", "--dim", "2",
                                            "--x", "0.3,0.2", "--t", "0.1",
                                            "--route", "change_of_var"],
@@ -46,6 +48,9 @@ COMMANDS = {
                                               "--x", "0.3,0.2"],
     "maximal-ou-truncated-ball-d3.json": ["maximal", "--function", "ball", "--dim", "3",
                                           "--x", "0.4,0.1,-0.3", "--cone", "truncated-parabolic"],
+    "maximal-ou-truncated-bump-d3-n40.json": ["maximal", "--function", "bump", "--dim", "3",
+                                              "--x", "0.4,0.1,-0.3", "--cone",
+                                              "truncated-parabolic", "--gh-nodes", "40"],
     "maximal-ou-parabolic-bump-d2.json": ["maximal", "--function", "bump", "--dim", "2",
                                           "--x", "0.3,0.2", "--cone", "parabolic-gaussian"],
     "maximal-ou-parabolic-x2-d2.json": ["maximal", "--function", "x2", "--dim", "2",
