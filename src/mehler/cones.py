@@ -13,7 +13,10 @@ never binds there. Paths are deterministic: a geometric time ladder and a
 fixed unit direction scaled by a fraction of the aperture.
 
 The cone suprema of `mehler.ou` search the grid of `_cone_grid`, built as
-one (times, cells, d) array; cross-sections are built for d <= 3.
+one (times, cells, d) array; cross-sections are built for d <= 3. One
+aperture formula, `_apertures`, serves `ConeSpec`, the grid and the
+membership test `_contains`, which takes many (apex, point, time) samples
+in one array expression; `cone_contains` is its one-sample case.
 """
 
 from __future__ import annotations
@@ -40,6 +43,43 @@ def _as_apex(value) -> tuple[float, ...]:
     return tuple(float(c) for c in arr)
 
 
+def _time_caps(kind: str, apex_norm) -> np.ndarray:
+    """Supremum of admissible times at apexes of norm apex_norm (+inf when unbounded)."""
+    n = np.asarray(apex_norm, dtype=float)
+    if kind != "truncated-parabolic":
+        return np.full(n.shape, math.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.minimum(1.0 / (n * n), 0.25)
+
+
+def _apertures(kind: str, apex_norm, t) -> np.ndarray:
+    """Radius of the cross-section at time t about an apex of norm apex_norm (0 when empty).
+
+    The one aperture formula of the table above, for `ConeSpec.aperture`
+    and the batched membership of `_contains`; its arguments broadcast.
+    """
+    n = np.asarray(apex_norm, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if kind == "truncated-parabolic":
+        radius = np.where(t < _time_caps(kind, n), np.sqrt(np.maximum(t, 0.0)), 0.0)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / n
+        reach = np.sqrt(np.maximum(t, 0.0)) if kind == "parabolic-gaussian" else t
+        radius = np.minimum(np.minimum(reach, inv), 1.0)
+    return np.where(t <= 0.0, 0.0, radius)
+
+
+def _contains(kind: str, apexes: np.ndarray, points: np.ndarray, times) -> np.ndarray:
+    """Strict membership of each (points[i], times[i]) in the cone of kind at apexes[i].
+
+    apexes and points are (n, d) arrays; rows padded with zeros to a common
+    d give the same norms, so apexes of several dimensions share one call.
+    """
+    dist = np.linalg.norm(points - apexes, axis=-1)
+    return dist < _apertures(kind, np.linalg.norm(apexes, axis=-1), times)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """An approach region anchored at ``apex`` with one of the three shapes."""
@@ -63,22 +103,11 @@ class ConeSpec:
     @property
     def time_cap(self) -> float:
         """Supremum of admissible times (+inf when the window is unbounded)."""
-        if self.kind == "truncated-parabolic":
-            n = self.apex_norm
-            return 0.25 if n == 0.0 else min(1.0 / (n * n), 0.25)
-        return math.inf
+        return float(_time_caps(self.kind, self.apex_norm))
 
     def aperture(self, t: float) -> float:
         """Radius of the admissible cross-section at time t (0 when empty)."""
-        t = float(t)
-        if t <= 0.0:
-            return 0.0
-        if self.kind == "truncated-parabolic":
-            return math.sqrt(t) if t < self.time_cap else 0.0
-        n = self.apex_norm
-        inv = math.inf if n == 0.0 else 1.0 / n
-        reach = math.sqrt(t) if self.kind == "parabolic-gaussian" else t
-        return min(reach, inv, 1.0)
+        return float(_apertures(self.kind, self.apex_norm, float(t)))
 
     def apex_array(self) -> np.ndarray:
         return np.asarray(self.apex, dtype=float)
@@ -141,7 +170,7 @@ def _cone_grid(
             raise ValueError("times must sit below the cone's time cap")
     fracs = np.array([fr for fr in _cross_fractions(cfg.cross_radial) if fr != 0.0])
     dirs = _directions(spec.dimension, cfg.cross_angular)
-    radii = fracs[None, :] * np.array([spec.aperture(t) for t in ts])[:, None]
+    radii = fracs[None, :] * _apertures(spec.kind, spec.apex_norm, ts)[:, None]
     rings = (radii[:, :, None, None] * dirs).reshape(ts.size, -1, spec.dimension)
     offsets = np.concatenate([np.zeros((ts.size, 1, spec.dimension)), rings], axis=1)
     cells = spec.apex_array() + offsets
@@ -157,8 +186,7 @@ def cone_contains(spec: ConeSpec, y, t: float) -> bool:
     arr = np.atleast_1d(np.asarray(y, dtype=float))
     if arr.shape != (spec.dimension,):
         raise ValueError(f"point has shape {arr.shape}, cone lives in R^{spec.dimension}")
-    dist = float(np.linalg.norm(arr - spec.apex_array()))
-    return dist < spec.aperture(t)
+    return bool(_contains(spec.kind, spec.apex_array()[None, :], arr[None, :], t)[0])
 
 
 @dataclass(frozen=True)
@@ -174,17 +202,34 @@ class ApproachPath:
             raise ValueError("path must contain at least one point")
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError("fraction must lie in [0, 1)")
-        clean = []
+        clean, fault = [], None
         last_t = math.inf
-        for y, t in self.points:
-            t = float(t)
-            if not t < last_t:
-                raise ValueError("path times must be strictly decreasing")
-            last_t = t
-            y = _as_apex(y)
-            if not cone_contains(self.spec, y, t):
+        try:
+            for y, t in self.points:
+                t = float(t)
+                if not t < last_t:
+                    raise ValueError("path times must be strictly decreasing")
+                last_t = t
+                y = _as_apex(y)
+                if not t > 0.0:
+                    raise ValueError(f"time must be positive, got {t}")
+                if len(y) != self.spec.dimension:
+                    raise ValueError(
+                        f"point has shape {(len(y),)}, cone lives in R^{self.spec.dimension}"
+                    )
+                clean.append((y, t))
+        except ValueError as err:
+            fault = err
+        # one membership test for the points before the first malformed one;
+        # a point outside the cone among them is reported first
+        if clean:
+            ys, ts = (np.array(column) for column in zip(*clean))
+            outside = ~_contains(self.spec.kind, self.spec.apex_array()[None, :], ys, ts)
+            if outside.any():
+                y, t = clean[int(np.argmax(outside))]
                 raise ValueError(f"path point (y={y}, t={t}) falls outside the cone")
-            clean.append((y, t))
+        if fault is not None:
+            raise fault
         object.__setattr__(self, "points", tuple(clean))
 
     def __len__(self) -> int:
@@ -239,13 +284,10 @@ def cone_path(
     t0 = cfg.time_grid.hi if math.isinf(cap) else min(cfg.time_grid.hi, (1.0 - _CAP_MARGIN) * cap)
     if not t0 > 0.0:
         raise ValueError("cone admits no positive time")
-    apex = spec.apex_array()
-    points = []
-    for k in range(n):
-        t = t0 * decay**k
-        y = apex + eta * spec.aperture(t) * u
-        points.append((tuple(float(c) for c in y), float(t)))
-    return ApproachPath(spec=spec, points=tuple(points), fraction=float(eta))
+    ts = [t0 * decay**k for k in range(n)]
+    ys = spec.apex_array() + eta * _apertures(spec.kind, spec.apex_norm, ts)[:, None] * u
+    points = tuple((tuple(float(c) for c in y), float(t)) for y, t in zip(ys, ts))
+    return ApproachPath(spec=spec, points=points, fraction=float(eta))
 
 
 def tangential_path(

@@ -38,6 +38,13 @@ Fortran-ordered (n, d) view, from every walk, the polar ball profile of
 suprema, paths, transforms and norms reduce to a weighted mixture sum_k
 w_k T_{t_k} f, one shifted integral per (row, point) in `_mixture_values`,
 which folds the times whose integrals are equal first (see _folded_rows).
+A default route whose distinct rows outnumber 33 (P_t's subordination
+rule: 62 to 219 rows at t from 10 down to 1e-7) is moved onto 33 fixed
+rows instead (_angle_rows): a row (r, s) is the angle theta = atan2(s, r),
+the row's integral is smooth in theta for smooth f, and integrating its
+interpolant at 33 Chebyshev-Lobatto angles exactly against the mixture
+takes 33 integrals per value. OU's one row and the rows of every other
+route are kept.
 
 Cone suprema take a different rule for the cells of a cross-section at
 apex x, `_section_values`. With c = r x and delta = r(y - x)/s for a row
@@ -54,8 +61,11 @@ blocks, so f sees the same 2^14 budget, and holds cells x n^{d-1} tilt
 products (2 MB for 57 cells in d = 3 at 64 nodes) and an n x cells
 accumulator. A (row, cell) pair whose |delta| reaches _TILT_CAP takes the
 shifted rule of `_mixture_values` instead. Both OU cones keep |delta| <
-1/sqrt(2) (their aperture is at most sqrt(t)), so no OU cell ever does;
-the Poisson gaussian cone reaches |delta| ~ sqrt(2u) ~ 8.5 at small t.
+1/sqrt(2) (their aperture is at most sqrt(t)), so no OU cell ever does.
+The Poisson gaussian cone, on its fixed angle rows, has |delta| =
+cot(theta_k)|y - x|: up to 264|y - x| on the first nonzero angle, so its
+small angles take the shifted rule at all but the smallest times, and its
+theta = 0 row (s = 0, where T f(y) = f(y)) takes it at every cell.
 The cap is set from the measured error of the rule, not its speed: on the
 ball indicator and the spike, per (row, cell) integral against closed
 forms and a 200-node shifted rule, the tilted rule errs like the shifted
@@ -128,6 +138,57 @@ def _folded_rows(times, weights):
     r = np.array([key[0] for key in folded])
     s = np.array([key[1] for key in folded])
     return r, s, np.array(list(folded.values()))
+
+
+# interpolation order of the fixed angle rows of a long mixture (_angle_rows),
+# set from measured error: at 16, the P_t paths of the perfbench poisson-path
+# workload miss its 1e-9 `bump_abs` check (by 1.2e-9 at seed 1, 2.0e-9 at
+# seed 2); at 32 the values stay within 6.7e-16 of the unprojected sums on
+# bump, d = 1, 2, 3, over the default time grid
+_ANGLES = 32
+# Chebyshev-Lobatto angles on [0, pi/2] and their barycentric weights
+_THETA = (math.pi / 4.0) * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
+_BARY = (-1.0) ** np.arange(_ANGLES + 1)
+_BARY[[0, -1]] *= 0.5
+# the rows (cos theta_k, sin theta_k), exact at both ends: T_0 and the gamma-mean
+_ANGLE_R = np.cos(_THETA)
+_ANGLE_S = np.sin(_THETA)
+_ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
+for _fixed in (_THETA, _BARY, _ANGLE_R, _ANGLE_S):
+    _fixed.flags.writeable = False
+
+
+def _decay_rows(times) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (e^{-t}, sqrt(1 - e^{-2t})) of many times, as arrays.
+
+    numpy's exp may round otherwise than the math module's, so these agree
+    with _decay_pair to rounding, not bit for bit; they only place rows on
+    the fixed angles of _angle_rows.
+    """
+    ts = np.asarray(times, dtype=float)
+    return np.exp(-ts), np.sqrt(-np.expm1(-2.0 * ts))
+
+
+def _angle_rows(r, s, w):
+    """The mixture sum_j w_j T f on rows (r_j, s_j), moved onto the fixed angle rows.
+
+    A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
+    smooth in theta on [0, pi/2] for smooth f. Interpolating g at the
+    Chebyshev-Lobatto angles theta_k and integrating the interpolant
+    exactly against the mixture gives the fixed rows (cos theta_k, sin
+    theta_k) with weights c_k = sum_j w_j l_k(theta_j), theta_j =
+    atan2(s_j, r_j), l_k the barycentric Lagrange basis (Berrut and
+    Trefethen, SIAM Review 2004). A theta_j equal to a node (t = inf, and
+    every t above about 745, gives pi/2) puts its whole weight on it, so
+    equal rows need no fold first. The weights depend on the times alone,
+    and sum to sum_j w_j to rounding.
+    """
+    theta, w = np.arctan2(s, r), np.asarray(w, dtype=float)
+    k = np.searchsorted(_THETA, theta)
+    node = _THETA[k] == theta
+    terms = _BARY / (theta[~node, None] - _THETA)
+    c = (w[~node] / terms.sum(axis=1)) @ terms
+    return _ANGLE_R, _ANGLE_S, c + np.bincount(k[node], w[node], minlength=_ANGLES + 1)
 
 
 def _mixture_values(
@@ -207,7 +268,8 @@ def _section_values(
     dist = np.sqrt(np.sum(offsets * offsets, axis=1))
     acc = np.zeros(points.shape[0])
     for r, s, w in zip(*rows):
-        # |delta| < _TILT_CAP, tested without dividing by s (0 once t^2/4u underflows)
+        # |delta| < _TILT_CAP, tested without dividing by s (0 on the angle-0
+        # row and once t^2/4u underflows)
         near = r * dist < _TILT_CAP * s
         if near.any():
             acc[near] += w * _tilted_integrals(f, r * apex, s, (r / s) * offsets[near], cfg)
@@ -251,6 +313,23 @@ class Semigroup:
     def mixture(self) -> Callable[[float], tuple]:
         """The default route's mixture t -> (times, weights)."""
         return next(iter(self.routes.values()))
+
+    def _rows(self, t: float, route: str | None = None):
+        """The (r, s, w) rows of the named route's mixture at t, or the default route's.
+
+        The default route's mixture is moved onto the fixed angle rows of
+        _angle_rows where its distinct rows, the ones _folded_rows would
+        keep, outnumber them; every other route, and a mixture of at most
+        that many rows (OU's one), keeps its own rows, folded.
+        """
+        default = next(iter(self.routes))
+        route = default if route is None else route
+        times, weights = self.routes[route](t)
+        if route == default and len(times) > _ANGLES + 1:
+            r, s = _decay_rows(times)
+            if np.unique(r + 1j * s).size > _ANGLES + 1:
+                return _angle_rows(r, s, weights)
+        return _folded_rows(times, weights)
 
     def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
         # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
@@ -301,7 +380,7 @@ class Semigroup:
             if route == "spectral":
                 out[at] = self.spectral(series, t).evaluate(pts[at])
             else:
-                out[at] = _mixture_values(f, pts[at], _folded_rows(*self.routes[route](t)), cfg)
+                out[at] = _mixture_values(f, pts[at], self._rows(t, route), cfg)
         return out
 
     def apply(
@@ -353,7 +432,7 @@ class Semigroup:
             vals = self.values(f, pts, pt_times, "auto", cfg)
         else:
             vals = np.concatenate([
-                _section_values(f, xa, section, _folded_rows(*self.mixture(float(t))), cfg)
+                _section_values(f, xa, section, self._rows(float(t)), cfg)
                 for section, t in zip(cells, ts)
             ])
         # grid order is t ascending, then lexicographic y: the first largest wins ties

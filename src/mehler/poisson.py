@@ -19,13 +19,33 @@ own: the two mixtures.
 
 The two quadrature layouts are frozen after calibration against the scalar
 identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}.
-At its default budget of 200 nodes the square rule errs by less than 1e-11
-at lambda = 0 and over lambda in [1e-5, 5] (at most 7.5e-12 there). Between
-them it does not: where the step of e^{-lambda^2/4v^2} at v ~ lambda/2
-falls inside the first panel [0, 1e-6], the error grows like lambda, from
-1e-12 at lambda = 1e-12 to 9.4e-10 at 1e-9 and a peak of 5e-9 near 4e-8,
-then falls back: 2.8e-9 at 1e-7, 3.6e-11 at 1.1e-6. The kernel rule
-reproduces eigenvalue decay to about 1e-10 for t in [0.1, 4].
+The square rule takes 28 Gauss-Legendre panels in v = sqrt(u): one on
+[0, 1e-14], a geometric climb through 1e-6 to 1.2, and linear panels out
+to v = 6, with nodes // 20 points each (280 nodes at the default budget of
+200). The step of e^{-lambda^2/4v^2} at v ~ lambda/2 crosses the geometric
+panels for every lambda above about 1e-14, so the rule errs by less than
+1e-11 over lambda in {0} and [1e-12, 5] (at most 7.5e-12; 6.9e-12 over
+lambda in {1e-12, 1e-9, 1e-8, 4e-8, 1e-7, 1.1e-6} and [1e-5, 5]), and by
+under 1e-15 below 1e-12, where the step falls inside the first panel and
+the error grows like lambda. The kernel rule reproduces eigenvalue decay
+to about 1e-10 for t in [0.1, 4].
+
+The default route is moved onto 33 fixed angle rows (`mehler.ou._angle_rows`,
+interpolation order 32) wherever its distinct OU rows (r, s) outnumber
+them, at every t up to about 100 (up to 219 rows, near t = 1e-7): they
+are interpolated in theta = atan2(s, r) at Chebyshev-Lobatto angles and
+the interpolant is integrated exactly, so a value takes 33 shifted
+integrals.
+At order 16 the P_t paths of the perfbench poisson-path workload miss its
+1e-9 check on bump (by up to 2.0e-9). At 32, on bump (d = 1, 2, 3) over
+the default time grid, the values differ from the unprojected sums by at
+most 6.7e-16. On the ball indicator and the spike the 64-node row
+integrals are not smooth in theta, and the projection moves values by up
+to 1.3e-2 (ball, d = 1) and 3.1e-4 (spike, d = 1) over five points and the
+default time grid: within the Gauss-Hermite rule's own error there (4.3e-2
+against the closed form of the ball in d = 1, with or without it). The
+kernel route keeps its own rows, so the two quadrature routes remain two
+different f-quadratures of P_t.
 """
 
 from __future__ import annotations
@@ -52,7 +72,11 @@ _KERNEL_PANEL_ORDER = 12
 
 @dataclass(frozen=True)
 class SubordinationQuadrature:
-    """Node budget of the square rule for the Bochner u-integral."""
+    """Node budget of the square rule for the Bochner u-integral.
+
+    Each of the rule's 28 v-panels takes max(4, nodes // 20) Gauss-Legendre
+    points, so the default 200 gives 280 nodes (see the module docstring).
+    """
 
     nodes: int = 200
 
@@ -66,12 +90,13 @@ DEFAULT_SUBORDINATION = SubordinationQuadrature()
 
 @lru_cache(maxsize=8)
 def _square_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # v-panels: one from 0, a geometric climb through the singular scale,
-    # then linear panels across the gaussian bulk out to v = 6
+    # v-panels: one from 0, a geometric climb from 1e-14 through the
+    # singular scale, then linear panels across the gaussian bulk out to v = 6
     order = max(4, nodes // 20)
-    edges = np.concatenate(
-        [[0.0], np.geomspace(1e-6, 1.2, 16), np.linspace(1.2, 6.0, 5)[1:]]
-    )
+    edges = np.concatenate([
+        [0.0], np.geomspace(1e-14, 1e-6, 9)[:-1], np.geomspace(1e-6, 1.2, 16),
+        np.linspace(1.2, 6.0, 5)[1:],
+    ])
     v, w = _panel_points(edges[:-1], edges[1:], order)
     u = v * v
     omega = 2.0 / math.sqrt(math.pi) * w * np.exp(-u)

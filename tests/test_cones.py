@@ -20,12 +20,14 @@ from mehler.cones import (
     ApproachPath,
     ConeSpec,
     _cone_grid,
+    _contains,
     _cross_fractions,
     _directions,
     cone_contains,
     cone_path,
     tangential_path,
 )
+from mehler.experiments import _cone_inclusion_margin, _inclusion_samples
 from mehler.hermite import QuadratureConfig
 
 PARABOLIC = "parabolic-gaussian"
@@ -168,6 +170,36 @@ def test_truncated_membership_implies_parabolic(apex, offset, t):
     y[0] += offset
     if cone_contains(ConeSpec(apex, TRUNCATED), y, t):
         assert cone_contains(ConeSpec(apex, PARABOLIC), y, t)
+
+
+@pytest.mark.parametrize("kind", [TRUNCATED, PARABOLIC])
+def test_batched_membership_is_cone_contains_on_every_sample(kind):
+    # the verify suite's draws, zero-padded to R^3, against one cone_contains
+    # call per sample on its own R^d, and against the distance-to-aperture
+    # comparison written out
+    dims, apexes, points, times = _inclusion_samples(10_000, 7)
+    batched = _contains(kind, apexes, points, times)
+    single = []
+    for d, x, y, t in zip(dims.tolist(), apexes, points, times.tolist()):
+        spec = ConeSpec(x[:d], kind)
+        inside = cone_contains(spec, y[:d], t)
+        assert inside == (float(np.linalg.norm(y[:d] - x[:d])) < spec.aperture(t))
+        single.append(inside)
+    assert batched.tolist() == single
+    assert 0 < sum(single) < len(single)
+    assert _cone_inclusion_margin(10_000, 7) == 0.0
+
+
+def test_path_reports_a_point_outside_before_a_later_fault():
+    # membership is tested for all points at once, yet the first fault in
+    # path order is the one reported
+    spec = ConeSpec((0.5,), GAUSSIAN)
+    with pytest.raises(ValueError, match=r"path point \(y=\(5.0,\), t=0.1\) falls outside"):
+        ApproachPath(spec, (((0.5,), 0.2), ((5.0,), 0.1), ((0.5,), 0.0)), 0.5)
+    with pytest.raises(ValueError, match="time must be positive, got 0.0"):
+        ApproachPath(spec, (((0.5,), 0.2), ((0.5,), 0.0), ((5.0,), -1.0)), 0.5)
+    with pytest.raises(ValueError, match=r"point has shape \(2,\), cone lives in R\^1"):
+        ApproachPath(spec, (((0.5,), 0.2), ((0.5, 0.0), 0.1)), 0.5)
 
 
 def test_path_points_always_in_cone_randomized():

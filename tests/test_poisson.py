@@ -20,14 +20,17 @@ from mehler import (
     PointwiseFunction,
     QuadratureConfig,
     as_function,
+    catalog_entry,
     gauss_hermite_grid,
     hermite_eval,
 )
-from mehler.ou import _folded_rows, _mixture_values
+from mehler.ou import _ANGLES, _angle_rows, _decay_rows, _folded_rows, _mixture_values
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
+    POISSON,
     SubordinationQuadrature,
     _kernel_rule,
+    _kernel_times,
     bochner_identity_error,
     poisson_apply,
     poisson_apply_kernel,
@@ -95,10 +98,10 @@ def test_bochner_identity_square_scheme():
 
 
 def test_bochner_identity_square_scheme_range():
-    # the documented range: below 1e-11 at 0 and over [1e-5, 5]; between
-    # 1e-12 and about 1e-6 the step of the integrand sits in the first panel
+    # the documented range: below 1e-11 at 0 and over [1e-12, 5], where the
+    # step of e^{-lam^2/4v^2} at v ~ lam/2 crosses the geometric panels
     assert bochner_identity_error(0.0) <= 1e-11
-    for lam in np.geomspace(1e-5, 5.0, 200):
+    for lam in (*np.geomspace(1e-12, 1e-5, 120), *np.geomspace(1e-5, 5.0, 200)):
         assert bochner_identity_error(lam) <= 1e-11, lam
 
 
@@ -177,15 +180,86 @@ def test_split_scheme_cross_check():
 
 
 def test_subordination_on_a_series_is_the_mixture_quadrature():
-    # a series takes the same OU-time mixture as a black box, so the route
-    # stays independent of the spectral factor that bochner_identity_error checks
+    # a series takes the same OU-time mixture as a black box, on the same
+    # fixed angle rows, so the route stays independent of the spectral
+    # factor that bochner_identity_error checks
     s = HermiteSeries(2, {(0, 0): 0.3, (2, 1): 1.0, (0, 3): -0.5})
     x = np.array([0.4, -0.7])
     for t in (0.1, 1.5):
         u, omega = subordination_rule(DEFAULT_SUBORDINATION)
-        rows = _folded_rows(t * t / (4.0 * u), omega)
+        rows = _angle_rows(*_decay_rows(t * t / (4.0 * u)), omega)
         want = float(_mixture_values(as_function(s), x[None, :], rows, CFG)[0])
         assert poisson_apply_subordination(s, x, t, CFG) == want
+
+
+# ---------------------------------------------------------------------------
+# the fixed angle rows of the default route
+# ---------------------------------------------------------------------------
+
+
+def unprojected(f, points, t, cfg=CFG) -> np.ndarray:
+    # the subordination mixture on its own folded rows
+    return _mixture_values(f, points, _folded_rows(*POISSON.mixture(t)), cfg)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_angle_rows_match_the_unprojected_mixture_on_bump(dimension):
+    # d = 3 takes a 16-node rule, so that the reference of up to 186 rows stays cheap
+    cfg = CFG if dimension < 3 else QuadratureConfig(gh_nodes=16)
+    f = catalog_entry("bump", dimension).rep
+    points = np.random.default_rng(dimension).uniform(-1.5, 1.5, size=(3, dimension))
+    for t in cfg.time_grid.values()[::4]:
+        assert _folded_rows(*POISSON.mixture(t))[0].size > _ANGLES + 1, t
+        got = POISSON.values(f, points, t, "subordination", cfg)
+        np.testing.assert_allclose(got, unprojected(f, points, t, cfg), rtol=0.0, atol=1e-14,
+                                   err_msg=str(t))
+
+
+def test_angle_rows_are_exact_at_both_ends():
+    r, s, c = _angle_rows(*_decay_rows((math.inf,)), (1.0,))
+    assert r.size == s.size == c.size == _ANGLES + 1
+    assert (r[0], s[0]) == (1.0, 0.0) and (r[-1], s[-1]) == (0.0, 1.0)
+    assert c.tolist() == [0.0] * _ANGLES + [1.0]
+    # t = 0 is the angle 0: all of its weight on the first row
+    assert _angle_rows(*_decay_rows((0.0,)), (0.5,))[2].tolist() == [0.5] + [0.0] * _ANGLES
+    theta = (math.pi / 4.0) * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
+    np.testing.assert_allclose(np.arctan2(s, r), theta, rtol=0.0, atol=1e-15)
+    # the rows of many times are those of _folded_rows, to rounding
+    times = (1e-300, 1e-9, 0.3, 5.0, 700.0, 800.0)
+    np.testing.assert_allclose(np.stack(_decay_rows(times)),
+                               np.stack(_folded_rows(times, [1.0] * 6)[:2]), rtol=1e-15, atol=0.0)
+
+
+def test_angle_weights_keep_the_mixture_mass():
+    for t in (*CFG.time_grid.values(), 1e-9, 50.0):
+        _, weights = POISSON.mixture(t)
+        _, _, c = POISSON._rows(t)
+        assert c.size == _ANGLES + 1
+        assert float(np.sum(c)) == pytest.approx(float(np.sum(weights)), rel=0.0, abs=1e-15), t
+
+
+def test_kernel_route_keeps_its_own_rows():
+    f = catalog_entry("bump", 2).rep
+    points = np.array([[0.3, 0.2], [-1.0, 0.5]])
+    for t in (0.1, 1.0, 4.0):
+        want = _mixture_values(f, points, _folded_rows(*_kernel_times(t)), CFG)
+        assert _folded_rows(*_kernel_times(t))[0].size > _ANGLES + 1
+        assert POISSON.values(f, points, t, "kernel", CFG).tolist() == want.tolist(), t
+
+
+def test_a_projected_value_does_not_depend_on_its_batch():
+    f = catalog_entry("bump", 2).rep
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2))
+    times = [0.05, 1.0, 0.05, 3.0]
+    batch = POISSON.values(f, points, times, "auto", CFG)
+    assert batch.tolist() == [poisson_apply(f, p, t, cfg=CFG) for p, t in zip(points, times)]
+
+
+def test_nontangential_maximal_on_bump_d2():
+    # the gaussian cone's sections take the fixed angle rows too
+    est = poisson_nontangential_maximal(catalog_entry("bump", 2).rep, (0.3, 0.2), CFG)
+    assert est.value == pytest.approx(0.43721424632052985, rel=0.0, abs=1e-14)
+    assert est.argmax == ((0.6163990867908431, 0.5163990867908431), 0.44750062972504484)
 
 
 def test_infinite_time_gives_the_mean():

@@ -61,6 +61,8 @@ COMMANDS = {
     "maximal-ou-time-x3-d2.json": ["maximal", "--function", "x3", "--dim", "2", "--x", "0.3,0.2"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
                                           "--function", "ball", "--x", "0.5"],
+    "maximal-poisson-time-spike-d1.json": ["maximal", "--semigroup", "poisson",
+                                           "--function", "spike", "--x", "0.5"],
     "poisson-apply-subordination-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
                                                      "--dim", "2", "--x", "0.3,0.2", "--t", "0.1",
                                                      "--route", "subordination"],
