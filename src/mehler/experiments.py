@@ -151,7 +151,7 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
             )
         target = float(f.values(np.asarray([apex], dtype=float))[0])
         ys, ts = zip(*path.points)
-        errs = np.abs(sg.values(f, ys, ts, "auto", cfg) - target)
+        errs = np.abs(sg.values(f, ys, ts, "auto", cfg, apex) - target)
         for alpha in sorted(config.alphas, reverse=True):
             # ascending t among eligible points: ties resolve to smallest t
             eligible = [i for i in reversed(range(len(ts))) if ts[i] < alpha]
@@ -180,7 +180,7 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
         )
         for label, pts in (("cone", cone_pts), ("tangential", tang_pts)):
             ys, ts = zip(*pts)
-            for y, t, v in zip(ys, ts, sg.values(f, ys, ts, "auto", cfg).tolist()):
+            for y, t, v in zip(ys, ts, sg.values(f, ys, ts, "auto", cfg, apex).tolist()):
                 rows.append(
                     {
                         "apex": apex,
@@ -258,7 +258,7 @@ def _orthonormality_margin(dimension: int, max_degree: int, cfg: QuadratureConfi
     terms = [(b, 1.0) for b in enumerate_multi_indices(dimension, max_degree)]
     gram = np.zeros((len(terms), len(terms)))
     rule = gauss_hermite_grid(dimension, cfg.gh_nodes)
-    _, _, blocks = next(_gh_blocks(None, np.zeros((1, dimension)), np.ones(1), np.ones(1), rule))
+    _, blocks = next(_gh_blocks(None, np.zeros((1, dimension)), np.ones(1), rule))
     for nodes, _, wts in blocks:
         mat = np.array(list(_hermite_rows(terms, nodes)))
         gram += (mat * wts[None, :]) @ mat.T

@@ -511,45 +511,46 @@ def gauss_hermite_grid(dimension: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_POINTS = 1 << 14
 
 
-def _gh_blocks(values: Callable | None, points: np.ndarray, r: np.ndarray, s: np.ndarray,
+def _gh_blocks(values: Callable | None, centres: np.ndarray, scales: np.ndarray,
                rule: tuple[np.ndarray, np.ndarray], what: str = "integrand"):
-    """f on r_k x_p + s_k * nodes for every (row k, point p), the one packer of f's calls.
+    """f on centres[a] + scales[a] * nodes for every anchor a, the one packer of f's calls.
 
     rule is (nodes (m, d), weights (m,)), nodes Fortran-ordered like
-    gauss_hermite_grid's. The pairs are taken row-major in groups of
+    gauss_hermite_grid's. The anchors are taken in order in groups of
     _BLOCK_POINTS // m, or one when m alone exceeds _BLOCK_POINTS. Yields
-    (k, p, blocks) per group, blocks yielding (points, values shaped
-    (pairs, slice nodes), weights) per node slice of at most _BLOCK_POINTS:
-    one slice unless m exceeds it. f takes every pair of a slice in one
-    call, on a Fortran-ordered (n, d) view of a C-contiguous (d, n) buffer,
-    so a row norm inside f adds d contiguous columns instead of reducing
-    short rows. A value that is not finite raises NonFiniteValueError, named
-    by `what` and its node. With values None the walk calls no f and yields
-    values None. One pair gives one group.
+    (group, blocks) per group, group the slice of its anchors, blocks
+    yielding (points, values shaped (anchors, slice nodes), weights) per
+    node slice of at most _BLOCK_POINTS: one slice unless m exceeds it. f
+    takes every anchor of a slice in one call, on a Fortran-ordered (n, d)
+    view of a C-contiguous (d, n) buffer, so a row norm inside f adds d
+    contiguous columns instead of reducing short rows. A value that is not
+    finite raises NonFiniteValueError, named by `what` and its node. With
+    values None the walk calls no f and yields values None. One anchor
+    gives one group.
     """
     nodes, wts = rule
-    # pairs of one centre (a ball about one point) take it once, so the sum
-    # below adds it to d long rows, not to one short row per pair: per pair,
-    # the d = 3 ball profile of 16 radii took 40% longer. r[0] == r[-1] first
-    # keeps the test off the mixtures, whose rows differ.
-    one = points.shape[0] == 1 and r.size > 1 and r[0] == r[-1] and np.all(r == r[0])
+    # anchors of one centre (a ball about one point) take it once, so the sum
+    # below adds it to d long rows, not to one short row per anchor: per
+    # anchor, the d = 3 ball profile of 16 radii took 40% longer. The ends
+    # first keep the test off the mixtures, whose centres differ.
+    one = scales.size > 1 and bool(np.all(centres[-1] == centres[0])
+                                   and np.all(centres == centres[0]))
 
-    def blocks(k, p):
-        # take is cheaper than fancy indexing on short index arrays, and a
-        # cone supremum makes one single-pair walk per time
-        centres = (r.take(k)[:, None] * points.take(p, axis=0)).T[:, : 1 if one else None, None]
+    def blocks(group):
+        centre = centres[group].T[:, : 1 if one else None, None]
+        scale = scales[group][None, :, None]
         for lo in range(0, wts.size, _BLOCK_POINTS):
-            pts = centres + s.take(k)[None, :, None] * nodes.T[:, None, lo : lo + _BLOCK_POINTS]
-            pts = pts.reshape(len(centres), -1).T
-            vals = None if values is None else values(pts).reshape(k.size, -1)
+            pts = centre + scale * nodes.T[:, None, lo : lo + _BLOCK_POINTS]
+            pts = pts.reshape(len(centre), -1).T
+            vals = None if values is None else values(pts).reshape(scale.size, -1)
             if vals is not None:
                 _require_finite(vals, pts, what)
             yield pts, vals, wts[lo : lo + _BLOCK_POINTS]
 
-    per_call, n_pairs = max(1, _BLOCK_POINTS // wts.size), r.size * points.shape[0]
-    for start in range(0, n_pairs, per_call):
-        k, p = np.divmod(np.arange(start, min(start + per_call, n_pairs)), points.shape[0])
-        yield k, p, blocks(k, p)
+    per_call = max(1, _BLOCK_POINTS // wts.size)
+    for start in range(0, scales.size, per_call):
+        group = slice(start, start + per_call)
+        yield group, blocks(group)
 
 
 def _coefficients(values: Callable, dimension: int, betas, cfg: QuadratureConfig) -> np.ndarray:
@@ -561,7 +562,7 @@ def _coefficients(values: Callable, dimension: int, betas, cfg: QuadratureConfig
     """
     out = np.full(len(betas), -0.0)
     rule = gauss_hermite_grid(dimension, cfg.gh_nodes)
-    _, _, blocks = next(_gh_blocks(values, np.zeros((1, dimension)), np.ones(1), np.ones(1), rule))
+    _, blocks = next(_gh_blocks(values, np.zeros((1, dimension)), np.ones(1), rule))
     for pts, vals, wts in blocks:
         for i, row in enumerate(_hermite_rows([(b, 1.0) for b in betas], pts)):
             out[i] += np.dot(wts, vals[0] * row)

@@ -5,11 +5,12 @@ T_t, sqrt(k) for the Poisson-Hermite P_t), its cone kinds and its route
 table: each route a mixture t -> (times, weights) with S_t f = sum_j w_j
 T_{s_j} f, the first the default. `Semigroup.values` is the one evaluator:
 it resolves 'auto' (spectral for series), checks the times and takes S_t f
-by any route at a list of (point, time) pairs. apply, the transform, the
-time supremum and the paths and checks of `mehler.experiments` are calls to
-it, and each public `ou_apply*` and `poisson_apply*` function is one call to
-apply. The scope is d <= 3: cone cross-sections (`mehler.cones._cone_grid`),
-like the ball rules of `mehler.measure`, raise ValueError above it.
+by any route at a list of (point, time) pairs, optionally about one apex.
+apply, the transform, the time and cone suprema and the paths and checks of
+`mehler.experiments` are calls to it, and each public `ou_apply*` and
+`poisson_apply*` function is one call to apply. The scope is d <= 3: cone
+cross-sections (`mehler.cones._cone_grid`), like the ball rules of
+`mehler.measure`, raise ValueError above it.
 
 T_t's routes (its cones are "parabolic-gaussian" and "truncated-parabolic"):
 
@@ -26,61 +27,66 @@ The t -> 0 blowup of the kernel normalization is never evaluated: the
 substitution stays well-conditioned down to t = 0 and covers t = +inf
 (where T_t f collapses to the gamma-mean of f).
 
-Every quadrature value of a black-box f takes f on r_k x_p + s_k*nodes of
-one Gauss-Hermite rule, for (row, point) pairs, through the walker
-`hermite._gh_blocks`, which alone packs f's calls: whole pairs into blocks
-of at most 2^14 points, or one pair over node slices when its rule alone
-exceeds that (d = 3 at 64 nodes per axis). The working memory is a block,
-under 0.4 MB of coordinates in d = 3, next to the cached GH grid (8.4 MB);
-it does not grow with the number of points or times. f gets a
+Every quadrature value of a black-box f takes f on c + s*nodes of one
+Gauss-Hermite rule, for anchors (c, s), through the walker
+`hermite._gh_blocks`, which alone packs f's calls: whole anchors into
+blocks of at most 2^14 points, or one anchor over node slices when its rule
+alone exceeds that (d = 3 at 64 nodes per axis). The working memory is a
+block, under 0.4 MB of coordinates in d = 3, next to the cached GH grid
+(8.4 MB), and the pair tables of one `_mixture_values` call. f gets a
 Fortran-ordered (n, d) view, from every walk, the polar ball profile of
-`hl_maximal` too: evaluators must not assume C-contiguity. The time
-suprema, paths, transforms and norms reduce to a weighted mixture sum_k
-w_k T_{t_k} f, one shifted integral per (row, point) in `_mixture_values`,
-which folds the times whose integrals are equal first (see _folded_rows).
-A default route whose distinct rows outnumber 33 (P_t's subordination
-rule: 62 to 219 rows at t from 10 down to 1e-7) is moved onto 33 fixed
-rows instead (_angle_rows): a row (r, s) is the angle theta = atan2(s, r),
-the row's integral is smooth in theta for smooth f, and integrating its
-interpolant at 33 Chebyshev-Lobatto angles exactly against the mixture
-takes 33 integrals per value. OU's one row and the rows of every other
-route are kept.
+`hl_maximal` too: evaluators must not assume C-contiguity. Every value is
+a weighted mixture sum_k w_k T_{t_k} f at a (point, time) pair, and
+`_mixture_values` takes all the pairs of a `Semigroup.values` call at
+once, keyed by row (r, s) = (e^{-t}, sqrt(1 - e^{-2t})): the distinct rows
+of all the times (_row_table; equal rows fold, see _folded_rows), and
+their integrals per (point, row). A default route whose distinct rows
+outnumber 33 (P_t's subordination rule: 62 to 219 rows at t from 10 down
+to 1e-7) is moved onto 33 fixed rows instead (_angle_rows): a row (r, s)
+is the angle theta = atan2(s, r), the row's integral is smooth in theta for
+smooth f, and integrating its interpolant at 33 Chebyshev-Lobatto angles
+exactly against the mixture takes 33 integrals per value, whatever the
+time. OU's one row and the rows of every other route are kept. The
+theta = 0 row (s = 0) is T_0 f = f: one f-value per point, times the
+rule's weight sum.
 
-Cone suprema take a different rule for the cells of a cross-section at
-apex x, `_section_values`. With c = r x and delta = r(y - x)/s for a row
-(r, s) = (e^{-t}, sqrt(1 - e^{-2t})), the shift u -> u + delta gives
+Given an apex x (the paths of `mehler.experiments`, the cone suprema and
+the time suprema), a (point, row) pair at y takes another rule. With
+c = r x and delta = r(y - x)/s, the shift u -> u + delta gives
 
   T_t f(y) = integral of f(c + s u) exp(2<u, delta> - |delta|^2) dgamma(u),
 
-so f is taken once per folded row on c + s*nodes, and each cell is a
-reweighted sum of those values: an importance-weighted Gauss-Hermite rule.
-A cell's rule does not depend on the other cells of its section, but the
-last bits of its value do: the section's cells share one matrix product.
-The weight factors over the axes; the contraction walks the same node
-blocks, so f sees the same 2^14 budget, and holds cells x n^{d-1} tilt
-products (2 MB for 57 cells in d = 3 at 64 nodes) and an n x cells
-accumulator. A (row, cell) pair whose |delta| reaches _TILT_CAP takes the
-shifted rule of `_mixture_values` instead. Both OU cones keep |delta| <
-1/sqrt(2) (their aperture is at most sqrt(t)), so no OU cell ever does.
-The Poisson gaussian cone, on its fixed angle rows, has |delta| =
-cot(theta_k)|y - x|: up to 264|y - x| on the first nonzero angle, so its
-small angles take the shifted rule at all but the smallest times, and its
-theta = 0 row (s = 0, where T f(y) = f(y)) takes it at every cell.
-The cap is set from the measured error of the rule, not its speed: on the
-ball indicator and the spike, per (row, cell) integral against closed
-forms and a 200-node shifted rule, the tilted rule errs like the shifted
-one up to |delta| = 2; above it its error on the spike grows to 1.5-2x
-the shifted rule's, and above 4 to orders of magnitude more in d = 3.
-Nor do far pairs share anchors: on a lattice of spacing h about r x, h in
-[0.25, 2], they erred 2.2-5.3x the shifted rule at the spike's kink, d = 1.
-Series inputs keep the spectral route.
+so f is taken once per row on c + s*nodes, and each pair is a reweighted
+sum of those values: an importance-weighted Gauss-Hermite rule (_Tilted).
+On P_t's fixed angle rows f is taken on at most 33 anchors per apex
+whatever the times, and all of them are one walk. A pair's rule does not
+depend on the other pairs, but the last bits of its value do: the pairs
+of a row share one matrix product. The weight factors over the axes; the
+contraction walks the same node blocks, so f sees the same 2^14 budget, and
+holds cells x n^{d-1} tilt products (at most _TILT_CELLS entries, 2 MB, at
+a time) and an n x cells accumulator. A pair whose |delta| reaches
+_TILT_CAP takes the shifted rule instead, anchored at (r y, s); all of
+those are one more walk. Both OU cones keep |delta| < 1/sqrt(2) (their
+aperture is at most sqrt(t)), so no OU cell ever does. The Poisson gaussian
+cone, on its fixed angle rows, has |delta| = cot(theta_k)|y - x|: up to
+264|y - x| on the first nonzero angle, so its small angles take the
+shifted rule at all but the smallest times. OU's rows differ at every
+time, so about an apex it takes one anchor per time, as many f-points as
+the shifted rule. The cap is set from the measured error of the rule, not
+its speed: on the ball indicator and the spike, per (row, cell) integral
+against closed forms and a 200-node shifted rule, the tilted rule errs
+like the shifted one up to |delta| = 2; above it its error on the spike
+grows to 1.5-2x the shifted rule's, and above 4 to orders of magnitude
+more in d = 3. Nor do far pairs share anchors: on a lattice of spacing h
+about r x, h in [0.25, 2], they erred 2.2-5.3x the shifted rule at the
+spike's kink, d = 1. Series inputs keep the spectral route.
 
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
 toward the smallest time and then lexicographically in the point so
 repeated runs land on the same argmax. A cone supremum takes its (time x
 cell) grid whole from `mehler.cones._cone_grid` and evaluates it by one
-`Semigroup.values` call for a series, else by `_section_values` per time.
+`Semigroup.values` call about its apex.
 """
 
 from __future__ import annotations
@@ -106,10 +112,18 @@ from .hermite import (
 )
 from .measure import MaximalEstimate, _first_max, gaussian_norm, hl_maximal
 
-# largest tilt |delta| at which a cone cell takes the tilted rule of
-# _section_values, set from the rule's measured error (module docstring);
+# largest tilt |delta| at which a (point, row) pair takes the tilted rule of
+# _mixture_values, set from the rule's measured error (module docstring);
 # both OU cones keep |delta| < 1/sqrt(2)
 _TILT_CAP = 2.0
+# (point, row) pairs of one _mixture_values call with no apex to share
+_PAIR_BUDGET = 1 << 14
+# largest |p_32 - p_16| of a projected value (_angle_rows at both orders)
+# that keeps its fixed angle rows; see the poisson module docstring
+_ROUGH = 1e-3
+# entries of the tilt products a _Tilted holds at once (2 MB): 57 cells in
+# d = 3 at 64 nodes, a whole OU cone section, or 4 096 cells in d = 2
+_TILT_CELLS = 1 << 18
 
 
 def _decay_pair(t: float) -> tuple[float, float]:
@@ -146,15 +160,13 @@ def _folded_rows(times, weights):
 # seed 2); at 32 the values stay within 6.7e-16 of the unprojected sums on
 # bump, d = 1, 2, 3, over the default time grid
 _ANGLES = 32
-# Chebyshev-Lobatto angles on [0, pi/2] and their barycentric weights
+# Chebyshev-Lobatto angles on [0, pi/2]
 _THETA = (math.pi / 4.0) * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
-_BARY = (-1.0) ** np.arange(_ANGLES + 1)
-_BARY[[0, -1]] *= 0.5
 # the rows (cos theta_k, sin theta_k), exact at both ends: T_0 and the gamma-mean
 _ANGLE_R = np.cos(_THETA)
 _ANGLE_S = np.sin(_THETA)
 _ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
-for _fixed in (_THETA, _BARY, _ANGLE_R, _ANGLE_S):
+for _fixed in (_THETA, _ANGLE_R, _ANGLE_S):
     _fixed.flags.writeable = False
 
 
@@ -162,14 +174,15 @@ def _decay_rows(times) -> tuple[np.ndarray, np.ndarray]:
     """The rows (e^{-t}, sqrt(1 - e^{-2t})) of many times, as arrays.
 
     numpy's exp may round otherwise than the math module's, so these agree
-    with _decay_pair to rounding, not bit for bit; they only place rows on
-    the fixed angles of _angle_rows.
+    with _decay_pair to rounding, not bit for bit; they place rows on the
+    fixed angles of _angle_rows, and are the rows a projected value falls
+    back on (Semigroup.values).
     """
     ts = np.asarray(times, dtype=float)
     return np.exp(-ts), np.sqrt(-np.expm1(-2.0 * ts))
 
 
-def _angle_rows(r, s, w):
+def _angle_rows(r, s, w, step: int = 1):
     """The mixture sum_j w_j T f on rows (r_j, s_j), moved onto the fixed angle rows.
 
     A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
@@ -181,102 +194,200 @@ def _angle_rows(r, s, w):
     Trefethen, SIAM Review 2004). A theta_j equal to a node (t = inf, and
     every t above about 745, gives pi/2) puts its whole weight on it, so
     equal rows need no fold first. The weights depend on the times alone,
-    and sum to sum_j w_j to rounding.
+    and sum to sum_j w_j to rounding. step = 2 interpolates at every
+    other angle instead, the Chebyshev-Lobatto angles of order _ANGLES / 2,
+    and gives zero weight to the rows between them.
     """
+    nodes = _THETA[::step]
+    bary = (-1.0) ** np.arange(nodes.size)
+    bary[[0, -1]] *= 0.5
     theta, w = np.arctan2(s, r), np.asarray(w, dtype=float)
-    k = np.searchsorted(_THETA, theta)
-    node = _THETA[k] == theta
-    terms = _BARY / (theta[~node, None] - _THETA)
-    c = (w[~node] / terms.sum(axis=1)) @ terms
-    return _ANGLE_R, _ANGLE_S, c + np.bincount(k[node], w[node], minlength=_ANGLES + 1)
+    k = np.searchsorted(nodes, theta)
+    node = nodes[k] == theta
+    terms = bary / (theta[~node, None] - nodes)
+    c = np.zeros(_ANGLES + 1)
+    c[::step] = (w[~node] / terms.sum(axis=1)) @ terms + np.bincount(k[node], w[node],
+                                                                     minlength=nodes.size)
+    return _ANGLE_R, _ANGLE_S, c
 
 
-def _mixture_values(
-    f: FunctionRep, points: np.ndarray, rows, cfg: QuadratureConfig
-) -> np.ndarray:
-    """sum_k w_k T_{t_k} f at each row of points, by shifted gaussian quadrature.
+def _row_table(mixtures):
+    """(r, s, w) or (r, s, w, check): the distinct rows of many mixtures, and their weights.
 
-    rows is the (r, s, w) triple of _folded_rows. Each (row, point) pair is
-    the anchor (r_k x_p, s_k) of one integral. `hermite._gh_blocks` walks
-    the pairs row-major, so each point's terms are summed in the order of
-    the rows. Each pair's integral is summed over its node slices and is
-    one dot product per slice, so its bits do not depend on its place in a
-    block.
+    mixtures holds (r, s, w, check) per mixture, check None or a second
+    weight vector on the same rows. Equal rows fold, their weights summed
+    in order. The rows come out in descending r (then ascending s):
+    ascending angle, the order of the fixed angle rows, so every point sums
+    its terms in one order whatever else shares its call. w (and check,
+    when any mixture has one; w's own rows for the others) are (mixtures,
+    rows), zero where a mixture lacks a row.
     """
-    r, s, w = rows
-    acc = np.zeros(points.shape[0])
-    rule = hermite.gauss_hermite_grid(f.dimension, cfg.gh_nodes)
-    for k, p, blocks in hermite._gh_blocks(f.values, points, r, s, rule, "semigroup integrand"):
-        row_vals = np.zeros(k.size)
-        for _, vals, wts in blocks:
-            row_vals += np.vecdot(vals, wts)
-        np.add.at(acc, p, w[k] * row_vals)
-    return acc
+    if len(mixtures) == 1 and np.all(np.diff(mixtures[0][0]) < 0.0):
+        # one mixture of distinct rows in that order already (OU's one row,
+        # the fixed angle rows, the kernel route's rows)
+        r, s, *weights = (m for m in mixtures[0] if m is not None)
+        return (r, s, *(w[None] for w in weights))
+    r = np.concatenate([m[0] for m in mixtures])
+    s = np.concatenate([m[1] for m in mixtures])
+    keys, col = np.unique(-r + 1j * s, return_inverse=True)
+    row = np.repeat(np.arange(len(mixtures)), [m[0].size for m in mixtures])
+    sets = [[m[2] for m in mixtures]]
+    if any(m[3] is not None for m in mixtures):
+        sets.append([m[2] if m[3] is None else m[3] for m in mixtures])
+    tables = np.zeros((len(sets), len(mixtures), keys.size))
+    for table, weights in zip(tables, sets):
+        np.add.at(table, (row, col), np.concatenate(weights))
+    return (-keys.real, keys.imag, *tables)
 
 
-def _tilted_integrals(
-    f: FunctionRep, centre: np.ndarray, scale: float, tilts: np.ndarray, cfg: QuadratureConfig
-) -> np.ndarray:
-    """integral of f(centre + scale*v) exp(2<v, delta> - |delta|^2) dgamma(v), per delta.
+class _Tilted:
+    """The tilted sums of one anchor (c, s) at cells y with tilts delta = r(y - x)/s.
 
-    One Gauss-Hermite rule, f taken once by `hermite._gh_blocks` at the
-    anchor (centre, scale), serves every row delta of tilts (cells, d). The
-    tilt factors over the axes: E_j[i, m] = exp(2 delta_ij g_m - delta_ij^2)
-    on the 1-d nodes g. Each node block, weighted, is contracted against the
+    integral of f(c + s v) exp(2<v, delta> - |delta|^2) dgamma(v), per delta,
+    from the anchor's weighted node values, added one node block at a time.
+    The tilt factors over the axes: E_j[cell, i] = exp(2 delta_j g_i -
+    delta_j^2) on the 1-d nodes g. Each block is contracted against the
     product of the trailing d - 1 tables (cells x n^{d-1}) into one (n,
     cells) accumulator indexed by the leading axis, and the leading table
     closes the sum. A block that starts or ends inside a leading-axis slice
-    is zero-padded to whole slices.
+    is zero-padded to whole slices. Products of more than _TILT_CELLS
+    entries are built for a slice of the cells at a time, at close, over
+    the blocks kept until then (the anchor's n^d values).
     """
-    d, cells = f.dimension, tilts.shape[0]
+
+    def __init__(self, tilts: np.ndarray, g: np.ndarray):
+        cells, d = tilts.shape
+        self.tables = [np.exp(2.0 * tilts[:, j, None] * g - tilts[:, j, None] ** 2)
+                       for j in range(d)]
+        self.width = g.size ** (d - 1)
+        step = max(1, _TILT_CELLS // self.width)
+        self.chunks = [slice(lo, lo + step) for lo in range(0, cells, step)]
+        self.trailing = self._trailing(self.chunks[0]) if len(self.chunks) == 1 else None
+        self.acc, self.kept = np.zeros((g.size, cells)), []
+
+    def _trailing(self, chunk: slice) -> np.ndarray:
+        out = np.ones((self.tables[0][chunk].shape[0], 1))
+        for table in self.tables[1:]:
+            out = (out[:, :, None] * table[chunk, None, :]).reshape(out.shape[0], -1)
+        return out
+
+    def _contract(self, weighted: np.ndarray, start: int, chunk: slice, trailing) -> None:
+        first, skip = divmod(start, self.width)
+        slices = -(-(skip + weighted.size) // self.width)
+        padded = np.zeros(slices * self.width)
+        padded[skip : skip + weighted.size] = weighted
+        self.acc[first : first + slices, chunk] += padded.reshape(slices, self.width) @ trailing.T
+
+    def add(self, weighted: np.ndarray, start: int) -> None:
+        """Add the weighted node values of the anchor's nodes start, start + 1, ..."""
+        if self.trailing is None:
+            self.kept.append((weighted, start))
+        else:
+            self._contract(weighted, start, self.chunks[0], self.trailing)
+
+    def close(self) -> np.ndarray:
+        for chunk in self.chunks if self.trailing is None else ():
+            trailing = self._trailing(chunk)
+            for weighted, start in self.kept:
+                self._contract(weighted, start, chunk, trailing)
+        return np.einsum("ia,ai->i", self.tables[0], self.acc)
+
+
+def _anchored(f: FunctionRep, apex: np.ndarray, r, s, k, offsets, rule, cfg) -> np.ndarray:
+    """T_k f(apex + offset) for each pair (row k, offset), row-major, of tilt below _TILT_CAP.
+
+    f is taken on the anchors (r_k x, s_k) of the pairs' rows, all in one
+    walk of `hermite._gh_blocks`. The pairs of an anchor are the cells of
+    one _Tilted, with delta = r_k offset / s_k, unless every delta is 0
+    (y = x, or r_k = 0): then each takes the anchor's own sum. One _Tilted
+    is held at a time: an anchor spans several blocks only alone in its group.
+    """
+    out = np.empty(k.size)
+    anchors, first = np.unique(k, return_index=True)
+    bounds = np.append(first, k.size)
+    moved = (r[k] != 0.0) & np.any(offsets != 0.0, axis=1)
     g = hermite._gh_rule_1d(cfg.gh_nodes)[0]
-    tables = [np.exp(2.0 * tilts[:, j, None] * g - tilts[:, j, None] ** 2) for j in range(d)]
-    trailing = np.ones((cells, 1))
-    for table in tables[1:]:
-        trailing = (trailing[:, :, None] * table[:, None, :]).reshape(cells, -1)
-    width = trailing.shape[1]
-    acc = np.zeros((g.size, cells))
-    start = 0
-    rule = hermite.gauss_hermite_grid(d, cfg.gh_nodes)
-    _, _, blocks = next(hermite._gh_blocks(f.values, centre[None, :], np.ones(1),
-                                           np.array([scale]), rule, "semigroup integrand"))
-    for _, vals, wts in blocks:
-        first, skip = divmod(start, width)
-        slices = -(-(skip + wts.size) // width)
-        padded = np.zeros(slices * width)
-        padded[skip : skip + wts.size] = vals[0] * wts
-        acc[first : first + slices] += padded.reshape(slices, width) @ trailing.T
-        start += wts.size
-    return np.einsum("ia,ai->i", tables[0], acc)
+    walk = hermite._gh_blocks(f.values, r[anchors, None] * apex, s[anchors], rule,
+                              "semigroup integrand")
+    for group, blocks in walk:
+        spans = [slice(bounds[i], bounds[i + 1]) for i in range(anchors.size)[group]]
+        tilted = np.array([moved[j].any() for j in spans])
+        sums, start, tilt = np.zeros(np.sum(~tilted)), 0, None
+        for _, vals, wts in blocks:
+            sums += np.vecdot(vals[~tilted], wts)
+            for row, j, row_vals in zip(anchors[group][tilted], np.array(spans)[tilted],
+                                        vals[tilted]):
+                tilt = tilt or _Tilted((r[row] / s[row]) * offsets[j], g)
+                tilt.add(row_vals * wts, start)
+                if start + wts.size == rule[1].size:
+                    out[j], tilt = tilt.close(), None
+            start += wts.size
+        for j, total in zip(np.array(spans)[~tilted], sums):
+            out[j] = total
+    return out
 
 
-def _section_values(
-    f: FunctionRep, apex: np.ndarray, points: np.ndarray, rows, cfg: QuadratureConfig
+def _mixture_values(
+    f: FunctionRep, points: np.ndarray, rows, cfg: QuadratureConfig, apex=None, which=None
 ) -> np.ndarray:
-    """sum_k w_k T_{t_k} f at the cells of a cone cross-section at apex.
+    """sum_k w_k T_k f(y_p) at each point y_p, for each weight vector w, by Gauss-Hermite rules.
 
-    For each folded row (r, s, w), f is taken once on r*apex + s*nodes, and
-    a cell y gets the tilted rule of _tilted_integrals with delta = r(y -
-    apex)/s: the shift v -> v + delta turns the shifted integral at y into
-    that one. A (row, cell) pair with |delta| >= _TILT_CAP takes the shifted
-    rule of _mixture_values instead, so a cell's rule does not depend on
-    the other cells of its section; its value does only in the rounding of
-    the contraction shared by the cells. Each cell's terms are summed in
-    row order.
+    rows is (r, s, *weights): K distinct rows (r_k, s_k), as _row_table
+    gathers them from the folded rows of _folded_rows or the fixed angle
+    rows of _angle_rows, and one or more weight tables, each (K,) for every
+    point or (mixtures, K) with which[p] the mixture of point p; the result
+    is (weights, points).
+    T_k f(y) is the integral of f(r_k y + s_k u) dgamma(u), one per (point,
+    row) pair of nonzero weight, by:
+      * s_k = 0 (the angle-0 row, T_0 f = f): f(r_k y) times the rule's
+        weight sum, one f-value;
+      * r_k|y - x| < _TILT_CAP s_k, given an apex x (_anchored): the anchor
+        (r_k x, s_k), f taken once per row whatever the points. With delta
+        = r_k(y - x)/s_k the shift u -> u + delta gives
+          T_k f(y) = integral of f(r_k x + s_k u) exp(2<u, delta> - |delta|^2) dgamma(u),
+        an importance-weighted rule (_Tilted);
+      * every other pair: the shifted rule, anchored at (r_k y, s_k).
+    The anchors of the rows and then the shifted pairs, row-major, are each
+    one walk of `hermite._gh_blocks`. A pair's rule depends on its point
+    and row alone, its value on the other pairs only in the rounding of the
+    tilted contraction they share. Each point sums its terms in row order.
     """
-    offsets = points - apex
-    dist = np.sqrt(np.sum(offsets * offsets, axis=1))
-    acc = np.zeros(points.shape[0])
-    for r, s, w in zip(*rows):
-        # |delta| < _TILT_CAP, tested without dividing by s (0 on the angle-0
-        # row and once t^2/4u underflows)
-        near = r * dist < _TILT_CAP * s
-        if near.any():
-            acc[near] += w * _tilted_integrals(f, r * apex, s, (r / s) * offsets[near], cfg)
-        if not near.all():
-            row = (np.array([r]), np.array([s]), np.array([w]))
-            acc[~near] += _mixture_values(f, points[~near], row, cfg)
-    return acc
+    r, s, *weights = rows
+    n, d = points.shape
+    weights = [np.atleast_2d(w) for w in weights]
+    which = np.zeros(n, dtype=int) if which is None else which
+    # the pairs of nonzero weight, row-major
+    k, p = np.nonzero(np.logical_or.reduce([w != 0.0 for w in weights]).T[:, which])
+    integral = np.zeros(k.size)
+    rule = hermite.gauss_hermite_grid(d, cfg.gh_nodes)
+    what = "semigroup integrand"
+    flat = s[k] == 0.0
+    if flat.any():
+        pts = r[k[flat], None] * points[p[flat]]
+        vals = f.values(pts)
+        hermite._require_finite(vals, pts, what)
+        integral[flat] = vals * np.sum(rule[1])
+    near = np.zeros(k.size, dtype=bool)
+    if apex is not None:
+        offsets = points[p] - apex
+        reach = r[k] * np.sqrt(np.sum(offsets * offsets, axis=1))
+        # |delta| < _TILT_CAP, tested without dividing by s
+        near = ~flat & (reach < _TILT_CAP * s[k])
+        integral[near] = _anchored(f, apex, r, s, k[near], offsets[near], rule, cfg)
+    far = np.flatnonzero(~flat & ~near)
+    # take is cheaper than fancy indexing on these long index arrays
+    kf, pf = k.take(far), p.take(far)
+    for group, blocks in hermite._gh_blocks(f.values, r.take(kf)[:, None] * points.take(pf, axis=0),
+                                            s.take(kf), rule, what):
+        sums = np.zeros(far[group].size)
+        for _, vals, wts in blocks:
+            sums += np.vecdot(vals, wts)
+        integral[far[group]] = sums
+    out = np.zeros((len(weights), n))
+    at = which[p] * r.size + k
+    for acc, w in zip(out, weights):
+        np.add.at(acc, p, w.ravel().take(at) * integral)
+    return out
 
 
 def _series_of(f) -> HermiteSeries | None:
@@ -315,12 +426,14 @@ class Semigroup:
         return next(iter(self.routes.values()))
 
     def _rows(self, t: float, route: str | None = None):
-        """The (r, s, w) rows of the named route's mixture at t, or the default route's.
+        """The (r, s, w, check) rows of the named route's mixture at t, or the default route's.
 
         The default route's mixture is moved onto the fixed angle rows of
         _angle_rows where its distinct rows, the ones _folded_rows would
-        keep, outnumber them; every other route, and a mixture of at most
-        that many rows (OU's one), keeps its own rows, folded.
+        keep, outnumber them, and check holds the order-16 weights of the
+        same mixture on the even rows; every other route, and a mixture of
+        at most that many rows (OU's one), keeps its own rows, folded, and
+        check is None.
         """
         default = next(iter(self.routes))
         route = default if route is None else route
@@ -328,8 +441,8 @@ class Semigroup:
         if route == default and len(times) > _ANGLES + 1:
             r, s = _decay_rows(times)
             if np.unique(r + 1j * s).size > _ANGLES + 1:
-                return _angle_rows(r, s, weights)
-        return _folded_rows(times, weights)
+                return (*_angle_rows(r, s, weights), _angle_rows(r, s, weights, 2)[2])
+        return (*_folded_rows(times, weights), None)
 
     def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
         # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
@@ -360,27 +473,56 @@ class Semigroup:
         return f, series, route, ts
 
     def values(
-        self, f, points, times, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG
+        self, f, points, times, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG,
+        apex=None,
     ) -> np.ndarray:
         """S_t f at each (points[i], times[i]) by the named route, or by 'auto'.
 
-        times is one time for every point or one per point. The points that
-        share a time take one spectral evaluation or one `_mixture_values`
-        call, whose rows depend on the time alone and whose sums on the point
-        alone, so each value is the one its point gets alone.
+        times is one time for every point or one per point. A quadrature
+        route takes every pair by one `_mixture_values` call on the rows of
+        all the times; given the apex x the pairs take its anchors (r x, s)
+        wherever their tilt allows, so a path, a cone or a time supremum
+        about x takes f once per row. Without one a point's value is the one
+        it gets alone; with one, up to the rounding of the tilted
+        contraction. A projected value whose order-16 twin differs by more
+        than _ROUGH is taken on the mixture's own rows instead.
         """
         f, series, route, ts = self._checked(f, times, route)
         pts = as_points(points, f.dimension)[0]
         if ts.size not in (1, pts.shape[0]) or ts.ndim > 1:
             raise ValueError(f"expected one time or {pts.shape[0]}, got shape {ts.shape}")
-        ts = np.broadcast_to(ts.ravel(), pts.shape[:1])
+        uniq, which = np.unique(ts.ravel(), return_inverse=True)
+        which = np.broadcast_to(which, pts.shape[:1])
         out = np.empty(pts.shape[0])
-        for t in np.unique(ts).tolist():
-            at = ts == t
-            if route == "spectral":
-                out[at] = self.spectral(series, t).evaluate(pts[at])
-            else:
-                out[at] = _mixture_values(f, pts[at], self._rows(t, route), cfg)
+        if route == "spectral":
+            for i, t in enumerate(uniq.tolist()):
+                out[which == i] = self.spectral(series, t).evaluate(pts[which == i])
+            return out
+        if not out.size:
+            return out
+        x = None if apex is None else _single_point(apex, f.dimension)
+
+        def mixed(mixtures, at, col, about):
+            # point at[i] takes mixtures[col[i]]; pairs held at once: all of
+            # them about an apex, which shares its anchors, else _PAIR_BUDGET
+            rows = _row_table(mixtures)
+            step = at.size if about is not None else max(
+                1, _PAIR_BUDGET // int(np.max(np.sum(rows[2] != 0.0, axis=1))))
+            vals = np.empty((len(rows) - 2, at.size))
+            for lo in range(0, at.size, step):
+                chunk = slice(lo, lo + step)
+                vals[:, chunk] = _mixture_values(f, pts[at[chunk]], rows, cfg, about, col[chunk])
+            return vals
+
+        vals = mixed([self._rows(t, route) for t in uniq.tolist()], np.arange(out.size), which, x)
+        out[:] = vals[0]
+        # a projected value and its order-16 twin (_rows)
+        rough = np.flatnonzero(np.abs(vals[0] - vals[-1]) > _ROUGH)
+        if rough.size:
+            need, col = np.unique(which[rough], return_inverse=True)
+            own = [(*_decay_rows(times), weights, None)
+                   for times, weights in map(self.routes[route], uniq[need].tolist())]
+            out[rough] = mixed(own, rough, col, None)[0]
         return out
 
     def apply(
@@ -408,7 +550,7 @@ class Semigroup:
         f = as_function(f)
         xa = _single_point(x, f.dimension)
         ts = [*(cfg.time_grid.values() if times is None else _positive_times(times)), math.inf]
-        vals = self.values(f, np.repeat(xa[None, :], len(ts), axis=0), ts, "auto", cfg)
+        vals = self.values(f, np.repeat(xa[None, :], len(ts), axis=0), ts, "auto", cfg, xa)
         value, arg = _first_max(vals, lambda i: float(ts[i]))
         return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
 
@@ -428,13 +570,7 @@ class Semigroup:
         ts, cells = _cone_grid(ConeSpec(xa, kind), cfg, times)
         pts = cells.reshape(-1, f.dimension)
         pt_times = np.repeat(ts, cells.shape[1])
-        if _series_of(f) is not None:
-            vals = self.values(f, pts, pt_times, "auto", cfg)
-        else:
-            vals = np.concatenate([
-                _section_values(f, xa, section, self._rows(float(t)), cfg)
-                for section, t in zip(cells, ts)
-            ])
+        vals = self.values(f, pts, pt_times, "auto", cfg, xa)
         # grid order is t ascending, then lexicographic y: the first largest wins ties
         value, arg = _first_max(
             vals, lambda i: (tuple(float(c) for c in pts[i]), float(pt_times[i]))

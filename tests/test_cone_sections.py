@@ -1,8 +1,10 @@
 """The tilted Gauss-Hermite rule of the cone cross-sections, and nested refinement.
 
-A cone supremum takes f once per folded mixture row and reweights those
-values per cell (`mehler.ou._section_values`). The oracles here:
-  * the shifted per-cell rule `_mixture_values`, which every cell used before;
+A cone supremum takes f once per mixture row at the apex and reweights
+those values per cell (`mehler.ou._mixture_values` given the apex). The
+oracles here:
+  * the shifted per-cell rule, `_mixture_values` with no apex, which every
+    cell used before;
   * the closed forms of `perfbench/oracles.py` for the unit-ball indicator;
   * a 200-node shifted rule for the spike, which has no closed form.
 """
@@ -17,22 +19,20 @@ import numpy as np
 import pytest
 
 import mehler.hermite as hermite_module
-import mehler.ou as ou_module
 from mehler import PointwiseFunction, QuadratureConfig, catalog_entry
 from mehler.cones import ConeSpec, _cone_grid
 from mehler.hermite import LogGrid
 from mehler.measure import hl_maximal
 from mehler.ou import (
     OU,
+    _ANGLES,
     _TILT_CAP,
     _folded_rows,
     _mixture_values,
-    _section_values,
-    _tilted_integrals,
     nontangential_maximal,
     ou_maximal,
 )
-from mehler.poisson import POISSON
+from mehler.poisson import POISSON, poisson_maximal, poisson_nontangential_maximal
 
 CFG = QuadratureConfig()
 
@@ -55,6 +55,16 @@ def section(sg, kind: str, apex, t: float, cfg=CFG):
     xa = np.asarray(apex, dtype=float)
     pts = _cone_grid(ConeSpec(tuple(apex), kind), cfg, (t,))[1][0]
     return xa, pts, _folded_rows(*sg.mixture(t))
+
+
+def section_values(f, xa, pts, rows, cfg=CFG):
+    # the cells of one cross-section about its apex
+    return _mixture_values(f, pts, rows, cfg, xa)[0]
+
+
+def shifted(f, pts, rows, cfg=CFG):
+    # every cell by its own shifted rule
+    return _mixture_values(f, pts, rows, cfg)[0]
 
 
 def counted(f):
@@ -83,9 +93,9 @@ def test_bump_cells_match_the_shifted_rule(semigroup, dimension):
     f = catalog_entry("bump", dimension).rep
     for t in times:
         xa, pts, rows = section(sg, kind, APEXES[dimension], t, cfg)
-        tilted = _section_values(f, xa, pts, rows, cfg)
-        shifted = _mixture_values(f, pts, rows, cfg)
-        np.testing.assert_allclose(tilted, shifted, rtol=0.0, atol=1e-14, err_msg=str(t))
+        tilted = section_values(f, xa, pts, rows, cfg)
+        np.testing.assert_allclose(tilted, shifted(f, pts, rows, cfg), rtol=0.0, atol=1e-14,
+                                   err_msg=str(t))
 
 
 def tilted_integrals(semigroup: str, apex):
@@ -116,8 +126,7 @@ def reference(name: str, pts: np.ndarray, r: float, s: float) -> np.ndarray:
     if name == "ball":
         return oracles.ou_ball(pts, -math.log(r))
     row = (np.array([r]), np.array([s]), np.ones(1))
-    return _mixture_values(catalog_entry(name, pts.shape[1]).rep, pts, row,
-                           QuadratureConfig(gh_nodes=200))
+    return shifted(catalog_entry(name, pts.shape[1]).rep, pts, row, QuadratureConfig(gh_nodes=200))
 
 
 def worst_errors(semigroup: str, name: str, apex):
@@ -134,10 +143,10 @@ def worst_errors(semigroup: str, name: str, apex):
         if name == "spike" and dimension == 3:
             pts = pts[np.argsort(np.linalg.norm(pts - xa, axis=1))[[0, -1, -2]]]
         want = reference(name, pts, r, s)
-        tilted = _tilted_integrals(f, r * xa, s, (r / s) * (pts - xa), CFG)
-        shifted = _mixture_values(f, pts, (np.array([r]), np.array([s]), np.ones(1)), CFG)
+        row = (np.array([r]), np.array([s]), np.ones(1))
+        tilted, own = section_values(f, xa, pts, row), shifted(f, pts, row)
         worst_tilted = max(worst_tilted, float(np.max(np.abs(tilted - want))))
-        worst_shifted = max(worst_shifted, float(np.max(np.abs(shifted - want))))
+        worst_shifted = max(worst_shifted, float(np.max(np.abs(own - want))))
     return worst_tilted, worst_shifted
 
 
@@ -178,45 +187,71 @@ def test_poisson_section_straddles_the_tilt_cap():
     straddling = far.any(axis=1) & ~far.all(axis=1)
     assert straddling.sum() > 10 and (~far).any(axis=1).all()
     sizes.clear()
-    values = _section_values(f, xa, pts, rows, CFG)
+    values = section_values(f, xa, pts, rows)
     assert sum(sizes) == (r.size + int(far.sum())) * CFG.gh_nodes**2
-    np.testing.assert_allclose(values, _mixture_values(f, pts, rows, CFG), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(values, shifted(f, pts, rows), rtol=0.0, atol=1e-14)
     # a cell's rule does not depend on the other cells of its section, and
     # its value only in the rounding of the contraction they share
     for i in (0, pts.shape[0] // 2, pts.shape[0] - 1):
-        alone = _section_values(f, xa, pts[i : i + 1], rows, CFG)[0]
+        alone = section_values(f, xa, pts[i : i + 1], rows)[0]
         assert alone == pytest.approx(values[i], rel=1e-14, abs=0.0)
 
 
 def test_rows_whose_scale_underflows_take_the_shifted_rule():
     # at t = 1e-170 every OU time t^2/4u of P_t underflows to 0, so s = 0:
-    # no cell is tilted, none divides by s, and each cell is f(y) to rounding
-    f = catalog_entry("bump", 1).rep
+    # no cell is tilted, none divides by s, and each cell is f(y) to
+    # rounding, one f-value a cell
+    f, sizes = counted(catalog_entry("bump", 1).rep)
     xa, pts, rows = section(POISSON, "gaussian", APEXES[1], 1e-170)
     assert np.all(rows[1] == 0.0)
+    sizes.clear()
     with np.errstate(all="raise"):
-        values = _section_values(f, xa, pts, rows, CFG)
+        values = section_values(f, xa, pts, rows)
+    assert sizes == [pts.shape[0]]
     np.testing.assert_allclose(values, f.values(pts), rtol=1e-14, atol=0.0)
+
+
+def test_poisson_suprema_take_f_once_per_angle_row():
+    # the gaussian cone's 64 times share the 33 angle rows, so f is taken on
+    # at most 33 anchors (r x, s), on n^d nodes each, on n^d nodes per
+    # shifted (row, cell) pair at or above _TILT_CAP, and once per cell for
+    # the angle-0 row; a time supremum takes the anchors and the angle-0 row
+    f, sizes = counted(catalog_entry("bump", 2).rep)
+    xa = np.array(APEXES[2])
+    times, cells = _cone_grid(ConeSpec(APEXES[2], "gaussian"), CFG)
+    far = 0
+    for t, cell in zip(times, cells):
+        r, s, c, _ = POISSON._rows(float(t))
+        reach = r[:, None] * np.linalg.norm(cell - xa, axis=1)
+        far += int(((reach >= _TILT_CAP * s[:, None]) & (s > 0.0)[:, None]
+                        & (c != 0.0)[:, None]).sum())
+    n2 = CFG.gh_nodes**2
+    sizes.clear()
+    poisson_nontangential_maximal(f, xa, CFG)
+    full = sum(sizes) - cells.shape[0] * cells.shape[1]
+    assert far * n2 < full <= (_ANGLES + 1 + far) * n2
+    sizes.clear()
+    est = poisson_maximal(f, xa, CFG)
+    assert sum(sizes) <= (_ANGLES + 1) * n2 + est.grid_size
 
 
 @pytest.mark.parametrize("kind", ["parabolic-gaussian", "truncated-parabolic"])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_no_ou_cone_cell_falls_back(monkeypatch, kind, dimension):
+def test_no_ou_cone_cell_falls_back(kind, dimension):
     # |delta| = e^{-t}|y - x| / sqrt(1 - e^{-2t}) < 1/sqrt(2) <= _TILT_CAP on
-    # both OU cones, so a cone supremum never reaches the shifted rule; the
+    # both OU cones, so a cone supremum never reaches the shifted rule: f is
+    # taken on the one anchor of each time's row and nowhere else; the
     # fallback does not depend on the rule, so a 4-node one keeps this cheap
-    def shifted(*args):
-        raise AssertionError("an OU cone cell took the shifted rule")
-
-    monkeypatch.setattr(ou_module, "_mixture_values", shifted)
     assert _TILT_CAP >= 1.0 / math.sqrt(2.0)
     cfg = QuadratureConfig(gh_nodes=4)
-    f = catalog_entry("bump", dimension).rep
+    f, sizes = counted(catalog_entry("bump", dimension).rep)
     rng = np.random.default_rng(dimension)
     for norm in (0.0, 0.5, 1.0, 2.0, 5.0):
         u = rng.normal(size=dimension)
         apex = norm * u / np.linalg.norm(u)
+        sizes.clear()
         assert nontangential_maximal(f, apex, kind, cfg).grid_size > 0
+        assert sum(sizes) == cfg.time_grid.count * 4**dimension, norm
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +269,12 @@ def test_blocks_straddling_slices(monkeypatch, dimension, nodes):
     f, sizes = counted(catalog_entry("bump", dimension).rep)
     xa, pts, rows = section(OU, "truncated-parabolic", APEXES[dimension], 0.05, cfg)
     sizes.clear()
-    split = _section_values(f, xa, pts, rows, cfg)
+    split = section_values(f, xa, pts, rows, cfg)
     assert len(sizes) > 1 and max(sizes) <= hermite_module._BLOCK_POINTS
     monkeypatch.setattr(hermite_module, "_BLOCK_POINTS", 1 << 22)
-    whole = _section_values(f, xa, pts, rows, cfg)
+    whole = section_values(f, xa, pts, rows, cfg)
     np.testing.assert_allclose(split, whole, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(split, _mixture_values(f, pts, rows, cfg), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(split, shifted(f, pts, rows, cfg), rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

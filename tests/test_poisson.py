@@ -9,7 +9,9 @@ frozen Hermite values gives independent pointwise references.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +26,7 @@ from mehler import (
     gauss_hermite_grid,
     hermite_eval,
 )
+from mehler.cones import ConeSpec, _cone_grid, cone_path
 from mehler.ou import _ANGLES, _angle_rows, _decay_rows, _folded_rows, _mixture_values
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
@@ -44,6 +47,11 @@ from mehler.poisson import (
 from mehler.measure import gaussian_norm
 
 CFG = QuadratureConfig()
+
+_ORACLES_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES_PATH)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 ONE = HermiteSeries(1, {(0,): 1.0})
 H1 = HermiteSeries(1, {(1,): 1.0})
@@ -175,7 +183,7 @@ def test_split_scheme_cross_check():
     for t in (0.3, 1.5):
         a = poisson_apply_subordination(f, 0.4, t, CFG)
         rows = _folded_rows(t * t / (4.0 * u), omega)
-        b = float(_mixture_values(f, np.array([[0.4]]), rows, CFG)[0])
+        b = float(_mixture_values(f, np.array([[0.4]]), rows, CFG)[0, 0])
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -188,7 +196,7 @@ def test_subordination_on_a_series_is_the_mixture_quadrature():
     for t in (0.1, 1.5):
         u, omega = subordination_rule(DEFAULT_SUBORDINATION)
         rows = _angle_rows(*_decay_rows(t * t / (4.0 * u)), omega)
-        want = float(_mixture_values(as_function(s), x[None, :], rows, CFG)[0])
+        want = float(_mixture_values(as_function(s), x[None, :], rows, CFG)[0, 0])
         assert poisson_apply_subordination(s, x, t, CFG) == want
 
 
@@ -199,7 +207,7 @@ def test_subordination_on_a_series_is_the_mixture_quadrature():
 
 def unprojected(f, points, t, cfg=CFG) -> np.ndarray:
     # the subordination mixture on its own folded rows
-    return _mixture_values(f, points, _folded_rows(*POISSON.mixture(t)), cfg)
+    return _mixture_values(f, points, _folded_rows(*POISSON.mixture(t)), cfg)[0]
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -233,7 +241,7 @@ def test_angle_rows_are_exact_at_both_ends():
 def test_angle_weights_keep_the_mixture_mass():
     for t in (*CFG.time_grid.values(), 1e-9, 50.0):
         _, weights = POISSON.mixture(t)
-        _, _, c = POISSON._rows(t)
+        _, _, c, _ = POISSON._rows(t)
         assert c.size == _ANGLES + 1
         assert float(np.sum(c)) == pytest.approx(float(np.sum(weights)), rel=0.0, abs=1e-15), t
 
@@ -242,7 +250,7 @@ def test_kernel_route_keeps_its_own_rows():
     f = catalog_entry("bump", 2).rep
     points = np.array([[0.3, 0.2], [-1.0, 0.5]])
     for t in (0.1, 1.0, 4.0):
-        want = _mixture_values(f, points, _folded_rows(*_kernel_times(t)), CFG)
+        want = _mixture_values(f, points, _folded_rows(*_kernel_times(t)), CFG)[0]
         assert _folded_rows(*_kernel_times(t))[0].size > _ANGLES + 1
         assert POISSON.values(f, points, t, "kernel", CFG).tolist() == want.tolist(), t
 
@@ -260,6 +268,49 @@ def test_nontangential_maximal_on_bump_d2():
     est = poisson_nontangential_maximal(catalog_entry("bump", 2).rep, (0.3, 0.2), CFG)
     assert est.value == pytest.approx(0.43721424632052985, rel=0.0, abs=1e-14)
     assert est.argmax == ((0.6163990867908431, 0.5163990867908431), 0.44750062972504484)
+
+
+APEXES = {1: (0.5,), 2: (0.3, -0.2), 3: (0.4, 0.1, -0.3)}
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_apex_values_match_the_values_of_each_point(dimension):
+    # about an apex a pair takes its row's anchor where its tilt allows; on
+    # bump every value is the one its point gets with no apex, on a path, a
+    # gaussian cone grid and a time supremum. d = 3 takes 32 nodes, so that
+    # the reference's shifted pairs stay cheap: at 32 the rules agree to
+    # 3e-17, at 16 the tilted one is 7e-10 off
+    cfg = CFG if dimension < 3 else QuadratureConfig(gh_nodes=32)
+    f = catalog_entry("bump", dimension).rep
+    spec = ConeSpec(APEXES[dimension], "gaussian")
+    apex = spec.apex_array()
+    path = cone_path(spec, 40, 0.5, 0.7, cfg=cfg).points
+    times, cells = _cone_grid(spec, cfg, (1e-4, 0.3))
+    ladder = np.append(cfg.time_grid.values(), math.inf)
+    cases = {
+        "path": (np.array([y for y, _ in path]), np.array([t for _, t in path])),
+        "cone": (cells.reshape(-1, dimension), np.repeat(times, cells.shape[1])),
+        "time": (np.repeat(apex[None, :], ladder.size, axis=0), ladder),
+    }
+    for name, (points, ts) in cases.items():
+        got = POISSON.values(f, points, ts, "auto", cfg, apex)
+        want = POISSON.values(f, points, ts, "auto", cfg)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=name)
+
+
+def test_ball_path_at_the_rim_stays_near_the_closed_form():
+    # the path of `run_convergence`'s default cone at apex 0.9912 (the
+    # perfbench poisson-path apex of seed 3): at y = 1.00017, t = 3.2e-4 the
+    # fixed angle rows alone were 0.138 off the closed form; |p_16 - p_32|
+    # sends such values back to the mixture's own rows
+    f = catalog_entry("ball", 1).rep
+    spec = ConeSpec((0.9912,), "parabolic-gaussian")
+    path = cone_path(spec, 40, 0.5, 0.7, cfg=CFG).points
+    points, ts = np.array([y for y, _ in path]), np.array([t for _, t in path])
+    want = np.array([oracles.poisson_closed("ball", y, t) for y, t in path])
+    for apex in (None, spec.apex_array()):
+        got = POISSON.values(f, points, ts, "auto", CFG, apex)
+        assert np.max(np.abs(got - want)) < 6e-2, apex
 
 
 def test_infinite_time_gives_the_mean():

@@ -19,6 +19,8 @@ COMMANDS = {
     "converge-h_2.csv": ["converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5"],
     "converge-poisson-ball-d1.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
                                      "--function", "ball", "--apex", "0.5"],
+    "converge-poisson-ball-d1-rim.csv": ["converge", "--semigroup", "poisson", "--function", "ball",
+                                         "--apex", "0.9912"],
     "converge-poisson-bump-d2.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
                                      "--function", "bump", "--dim", "2", "--apex", "0.3,0.2"],
     "contrast-poisson-gaussian-bump-d2.csv": ["contrast", "--semigroup", "poisson", "--cone",
@@ -61,6 +63,8 @@ COMMANDS = {
     "maximal-ou-time-x3-d2.json": ["maximal", "--function", "x3", "--dim", "2", "--x", "0.3,0.2"],
     "maximal-poisson-time-ball-d1.json": ["maximal", "--semigroup", "poisson",
                                           "--function", "ball", "--x", "0.5"],
+    "maximal-poisson-time-bump-d2.json": ["maximal", "--semigroup", "poisson", "--function",
+                                          "bump", "--dim", "2", "--x", "0.3,0.2"],
     "maximal-poisson-time-spike-d1.json": ["maximal", "--semigroup", "poisson",
                                            "--function", "spike", "--x", "0.5"],
     "poisson-apply-subordination-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
