@@ -151,7 +151,7 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
             )
         target = float(f.values(np.asarray([apex], dtype=float))[0])
         ys, ts = zip(*path.points)
-        errs = np.abs(sg.values(f, ys, ts, "auto", cfg, apex) - target)
+        errs = np.abs(sg.values(f, ys, ts, "auto", cfg, apex, config.cone) - target)
         for alpha in sorted(config.alphas, reverse=True):
             # ascending t among eligible points: ties resolve to smallest t
             eligible = [i for i in reversed(range(len(ts))) if ts[i] < alpha]
@@ -180,7 +180,8 @@ def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
         )
         for label, pts in (("cone", cone_pts), ("tangential", tang_pts)):
             ys, ts = zip(*pts)
-            for y, t, v in zip(ys, ts, sg.values(f, ys, ts, "auto", cfg, apex).tolist()):
+            vals = sg.values(f, ys, ts, "auto", cfg, apex, config.cone)
+            for y, t, v in zip(ys, ts, vals.tolist()):
                 rows.append(
                     {
                         "apex": apex,

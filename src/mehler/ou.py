@@ -44,9 +44,10 @@ their integrals per (point, row). A default route whose distinct rows
 outnumber 33 (P_t's subordination rule: 62 to 219 rows at t from 10 down
 to 1e-7) is moved onto 33 fixed rows instead (_angle_rows): a row (r, s)
 is the angle theta = atan2(s, r), the row's integral is smooth in theta for
-smooth f, and integrating its interpolant at 33 Chebyshev-Lobatto angles
-exactly against the mixture takes 33 integrals per value, whatever the
-time. OU's one row and the rows of every other route are kept. The
+smooth f, and integrating its interpolant at 33 fixed angles, crowded
+toward theta = 0, exactly against the mixture takes 33 integrals per
+value, whatever the time. OU's one row and the rows of every other route
+are kept. The
 theta = 0 row (s = 0) is T_0 f = f: one f-value per point, times the
 rule's weight sum.
 
@@ -62,15 +63,19 @@ On P_t's fixed angle rows f is taken on at most 33 anchors per apex
 whatever the times, and all of them are one walk. A pair's rule does not
 depend on the other pairs, but the last bits of its value do: the pairs
 of a row share one matrix product. The weight factors over the axes; the
-contraction walks the same node blocks, so f sees the same 2^14 budget, and
-holds cells x n^{d-1} tilt products (at most _TILT_CELLS entries, 2 MB, at
-a time) and an n x cells accumulator. A pair whose |delta| reaches
-_TILT_CAP takes the shifted rule instead, anchored at (r y, s); all of
-those are one more walk. Both OU cones keep |delta| < 1/sqrt(2) (their
-aperture is at most sqrt(t)), so no OU cell ever does. The Poisson gaussian
-cone, on its fixed angle rows, has |delta| = cot(theta_k)|y - x|: up to
-264|y - x| on the first nonzero angle, so its small angles take the
-shifted rule at all but the smallest times. OU's rows differ at every
+contraction keeps the anchor's weighted node values (n^d, 2 MB in d = 3)
+from the same node blocks, so f sees the same 2^14 budget, and holds
+cells x n^{d-1} tilt products (at most _TILT_CELLS entries, 2 MB, at a
+time) and an n x cells accumulator. A pair whose tilt reaches _TILT_CAP
+takes the shifted rule instead, anchored at (r y, s); all of those are one
+more walk. The tilt of a point of a cone is bounded by where it sits in
+the widest cross-section at its time (Semigroup.values), so the work of a
+path or a cone depends on its times, not on its apex. Both OU cones keep
+|delta| < 1/sqrt(2) (their aperture is at most sqrt(t)), so no OU cell
+ever takes the shifted rule. On P_t's fixed angle rows |delta| =
+cot(theta_k)|y - x|: up to 5 389|y - x| on the first nonzero angle, so
+the small angles of a path or a cone take the shifted rule at all but the
+smallest times. OU's rows differ at every
 time, so about an apex it takes one anchor per time, as many f-points as
 the shifted rule. The cap is set from the measured error of the rule, not
 its speed: on the ball indicator and the spike, per (row, cell) integral
@@ -98,7 +103,7 @@ from typing import Callable
 import numpy as np
 
 from . import hermite
-from .cones import ConeSpec, _cone_grid, _positive_times
+from .cones import ConeSpec, _apertures, _cone_grid, _positive_times
 from .hermite import (
     DEFAULT_CONFIG,
     FunctionRep,
@@ -118,9 +123,6 @@ from .measure import MaximalEstimate, _first_max, gaussian_norm, hl_maximal
 _TILT_CAP = 2.0
 # (point, row) pairs of one _mixture_values call with no apex to share
 _PAIR_BUDGET = 1 << 14
-# largest |p_32 - p_16| of a projected value (_angle_rows at both orders)
-# that keeps its fixed angle rows; see the poisson module docstring
-_ROUGH = 1e-3
 # entries of the tilt products a _Tilted holds at once (2 MB): 57 cells in
 # d = 3 at 64 nodes, a whole OU cone section, or 4 096 cells in d = 2
 _TILT_CELLS = 1 << 18
@@ -155,18 +157,20 @@ def _folded_rows(times, weights):
 
 
 # interpolation order of the fixed angle rows of a long mixture (_angle_rows),
-# set from measured error: at 16, the P_t paths of the perfbench poisson-path
-# workload miss its 1e-9 `bump_abs` check (by 1.2e-9 at seed 1, 2.0e-9 at
-# seed 2); at 32 the values stay within 6.7e-16 of the unprojected sums on
-# bump, d = 1, 2, 3, over the default time grid
+# set from measured error: at 16, on angles spread evenly in theta, the P_t
+# paths of the perfbench poisson-path workload missed its 1e-9 `bump_abs`
+# check (by 1.2e-9 at seed 1, 2.0e-9 at seed 2); at 32, on the angles below,
+# the values stay within 8.7e-16 of the unprojected sums on bump, d = 1, 2,
+# over the default time grid
 _ANGLES = 32
-# Chebyshev-Lobatto angles on [0, pi/2]
-_THETA = (math.pi / 4.0) * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
+# Chebyshev-Lobatto points xi on [0, 1], and the angles theta = (pi/2) xi^{3/2}
+_XI = 0.5 * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
+_THETA = (math.pi / 2.0) * _XI**1.5
 # the rows (cos theta_k, sin theta_k), exact at both ends: T_0 and the gamma-mean
 _ANGLE_R = np.cos(_THETA)
 _ANGLE_S = np.sin(_THETA)
 _ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
-for _fixed in (_THETA, _ANGLE_R, _ANGLE_S):
+for _fixed in (_XI, _THETA, _ANGLE_R, _ANGLE_S):
     _fixed.flags.writeable = False
 
 
@@ -174,85 +178,76 @@ def _decay_rows(times) -> tuple[np.ndarray, np.ndarray]:
     """The rows (e^{-t}, sqrt(1 - e^{-2t})) of many times, as arrays.
 
     numpy's exp may round otherwise than the math module's, so these agree
-    with _decay_pair to rounding, not bit for bit; they place rows on the
-    fixed angles of _angle_rows, and are the rows a projected value falls
-    back on (Semigroup.values).
+    with _decay_pair to rounding, not bit for bit; they only place rows on
+    the fixed angles of _angle_rows.
     """
     ts = np.asarray(times, dtype=float)
     return np.exp(-ts), np.sqrt(-np.expm1(-2.0 * ts))
 
 
-def _angle_rows(r, s, w, step: int = 1):
+def _angle_rows(r, s, w):
     """The mixture sum_j w_j T f on rows (r_j, s_j), moved onto the fixed angle rows.
 
     A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
-    smooth in theta on [0, pi/2] for smooth f. Interpolating g at the
-    Chebyshev-Lobatto angles theta_k and integrating the interpolant
-    exactly against the mixture gives the fixed rows (cos theta_k, sin
-    theta_k) with weights c_k = sum_j w_j l_k(theta_j), theta_j =
-    atan2(s_j, r_j), l_k the barycentric Lagrange basis (Berrut and
-    Trefethen, SIAM Review 2004). A theta_j equal to a node (t = inf, and
-    every t above about 745, gives pi/2) puts its whole weight on it, so
-    equal rows need no fold first. The weights depend on the times alone,
-    and sum to sum_j w_j to rounding. step = 2 interpolates at every
-    other angle instead, the Chebyshev-Lobatto angles of order _ANGLES / 2,
-    and gives zero weight to the rows between them.
+    even in theta (the gaussian is symmetric) and smooth on [0, pi/2] for
+    smooth f, so it is a smooth function of xi^3 for theta = (pi/2)
+    xi^{3/2}. Interpolating g in xi at the Chebyshev-Lobatto points xi_k
+    and integrating the interpolant exactly against the mixture gives the
+    fixed rows (cos theta_k, sin theta_k) with weights c_k = sum_j w_j
+    l_k(xi_j), xi_j = (2 theta_j / pi)^{2/3}, theta_j = atan2(s_j, r_j), l_k
+    the barycentric Lagrange basis (Berrut and Trefethen, SIAM Review
+    2004). The angles crowd toward theta = 0, where a short time's mixture
+    lies (see the poisson module docstring). A xi_j equal to a node (t =
+    inf, and every t above about 745, gives 1) puts its whole weight on it,
+    so equal rows need no fold first. The weights depend on the times
+    alone, and sum to sum_j w_j to rounding.
     """
-    nodes = _THETA[::step]
-    bary = (-1.0) ** np.arange(nodes.size)
+    bary = (-1.0) ** np.arange(_ANGLES + 1)
     bary[[0, -1]] *= 0.5
-    theta, w = np.arctan2(s, r), np.asarray(w, dtype=float)
-    k = np.searchsorted(nodes, theta)
-    node = nodes[k] == theta
-    terms = bary / (theta[~node, None] - nodes)
-    c = np.zeros(_ANGLES + 1)
-    c[::step] = (w[~node] / terms.sum(axis=1)) @ terms + np.bincount(k[node], w[node],
-                                                                     minlength=nodes.size)
-    return _ANGLE_R, _ANGLE_S, c
+    xi = (np.arctan2(s, r) / (math.pi / 2.0)) ** (2.0 / 3.0)
+    w = np.asarray(w, dtype=float)
+    k = np.searchsorted(_XI, xi)
+    node = _XI[k] == xi
+    terms = bary / (xi[~node, None] - _XI)
+    c = (w[~node] / terms.sum(axis=1)) @ terms
+    return _ANGLE_R, _ANGLE_S, c + np.bincount(k[node], w[node], minlength=_ANGLES + 1)
 
 
 def _row_table(mixtures):
-    """(r, s, w) or (r, s, w, check): the distinct rows of many mixtures, and their weights.
+    """(r, s, w): the distinct rows of many mixtures (r, s, w), and their weights.
 
-    mixtures holds (r, s, w, check) per mixture, check None or a second
-    weight vector on the same rows. Equal rows fold, their weights summed
-    in order. The rows come out in descending r (then ascending s):
-    ascending angle, the order of the fixed angle rows, so every point sums
-    its terms in one order whatever else shares its call. w (and check,
-    when any mixture has one; w's own rows for the others) are (mixtures,
-    rows), zero where a mixture lacks a row.
+    Equal rows fold, their weights summed in order. The rows come out in
+    descending r (then ascending s): ascending angle, the order of the
+    fixed angle rows, so every point sums its terms in one order whatever
+    else shares its call. w is (mixtures, rows), zero where a mixture lacks
+    a row.
     """
     if len(mixtures) == 1 and np.all(np.diff(mixtures[0][0]) < 0.0):
         # one mixture of distinct rows in that order already (OU's one row,
         # the fixed angle rows, the kernel route's rows)
-        r, s, *weights = (m for m in mixtures[0] if m is not None)
-        return (r, s, *(w[None] for w in weights))
+        r, s, w = mixtures[0]
+        return r, s, w[None]
     r = np.concatenate([m[0] for m in mixtures])
     s = np.concatenate([m[1] for m in mixtures])
     keys, col = np.unique(-r + 1j * s, return_inverse=True)
     row = np.repeat(np.arange(len(mixtures)), [m[0].size for m in mixtures])
-    sets = [[m[2] for m in mixtures]]
-    if any(m[3] is not None for m in mixtures):
-        sets.append([m[2] if m[3] is None else m[3] for m in mixtures])
-    tables = np.zeros((len(sets), len(mixtures), keys.size))
-    for table, weights in zip(tables, sets):
-        np.add.at(table, (row, col), np.concatenate(weights))
-    return (-keys.real, keys.imag, *tables)
+    table = np.zeros((len(mixtures), keys.size))
+    np.add.at(table, (row, col), np.concatenate([m[2] for m in mixtures]))
+    return -keys.real, keys.imag, table
 
 
 class _Tilted:
     """The tilted sums of one anchor (c, s) at cells y with tilts delta = r(y - x)/s.
 
     integral of f(c + s v) exp(2<v, delta> - |delta|^2) dgamma(v), per delta,
-    from the anchor's weighted node values, added one node block at a time.
-    The tilt factors over the axes: E_j[cell, i] = exp(2 delta_j g_i -
-    delta_j^2) on the 1-d nodes g. Each block is contracted against the
-    product of the trailing d - 1 tables (cells x n^{d-1}) into one (n,
+    from the anchor's weighted node values, kept one node block at a time
+    and summed at close. The tilt factors over the axes: E_j[cell, i] =
+    exp(2 delta_j g_i - delta_j^2) on the 1-d nodes g. Each block is
+    contracted against the product of the trailing d - 1 tables (cells x
+    n^{d-1}, at most _TILT_CELLS entries of it at a time) into one (n,
     cells) accumulator indexed by the leading axis, and the leading table
     closes the sum. A block that starts or ends inside a leading-axis slice
-    is zero-padded to whole slices. Products of more than _TILT_CELLS
-    entries are built for a slice of the cells at a time, at close, over
-    the blocks kept until then (the anchor's n^d values).
+    is zero-padded to whole slices.
     """
 
     def __init__(self, tilts: np.ndarray, g: np.ndarray):
@@ -260,37 +255,29 @@ class _Tilted:
         self.tables = [np.exp(2.0 * tilts[:, j, None] * g - tilts[:, j, None] ** 2)
                        for j in range(d)]
         self.width = g.size ** (d - 1)
-        step = max(1, _TILT_CELLS // self.width)
-        self.chunks = [slice(lo, lo + step) for lo in range(0, cells, step)]
-        self.trailing = self._trailing(self.chunks[0]) if len(self.chunks) == 1 else None
-        self.acc, self.kept = np.zeros((g.size, cells)), []
-
-    def _trailing(self, chunk: slice) -> np.ndarray:
-        out = np.ones((self.tables[0][chunk].shape[0], 1))
-        for table in self.tables[1:]:
-            out = (out[:, :, None] * table[chunk, None, :]).reshape(out.shape[0], -1)
-        return out
-
-    def _contract(self, weighted: np.ndarray, start: int, chunk: slice, trailing) -> None:
-        first, skip = divmod(start, self.width)
-        slices = -(-(skip + weighted.size) // self.width)
-        padded = np.zeros(slices * self.width)
-        padded[skip : skip + weighted.size] = weighted
-        self.acc[first : first + slices, chunk] += padded.reshape(slices, self.width) @ trailing.T
+        self.step = max(1, _TILT_CELLS // self.width)
+        self.kept = []
 
     def add(self, weighted: np.ndarray, start: int) -> None:
-        """Add the weighted node values of the anchor's nodes start, start + 1, ..."""
-        if self.trailing is None:
-            self.kept.append((weighted, start))
-        else:
-            self._contract(weighted, start, self.chunks[0], self.trailing)
+        """Keep the weighted values of the anchor's nodes start, start + 1, ..."""
+        self.kept.append((weighted, start))
 
     def close(self) -> np.ndarray:
-        for chunk in self.chunks if self.trailing is None else ():
-            trailing = self._trailing(chunk)
+        cells = self.tables[0].shape[0]
+        acc = np.zeros((self.tables[0].shape[1], cells))
+        for lo in range(0, cells, self.step):
+            chunk = slice(lo, lo + self.step)
+            trailing = np.ones((self.tables[0][chunk].shape[0], 1))
+            for table in self.tables[1:]:
+                trailing = (trailing[:, :, None] * table[chunk, None, :]).reshape(
+                    trailing.shape[0], -1)
             for weighted, start in self.kept:
-                self._contract(weighted, start, chunk, trailing)
-        return np.einsum("ia,ai->i", self.tables[0], self.acc)
+                first, skip = divmod(start, self.width)
+                slices = -(-(skip + weighted.size) // self.width)
+                padded = np.zeros(slices * self.width)
+                padded[skip : skip + weighted.size] = weighted
+                acc[first : first + slices, chunk] += padded.reshape(slices, self.width) @ trailing.T
+        return np.einsum("ia,ai->i", self.tables[0], acc)
 
 
 def _anchored(f: FunctionRep, apex: np.ndarray, r, s, k, offsets, rule, cfg) -> np.ndarray:
@@ -328,36 +315,37 @@ def _anchored(f: FunctionRep, apex: np.ndarray, r, s, k, offsets, rule, cfg) -> 
 
 
 def _mixture_values(
-    f: FunctionRep, points: np.ndarray, rows, cfg: QuadratureConfig, apex=None, which=None
+    f: FunctionRep, points: np.ndarray, rows, cfg: QuadratureConfig, apex=None, which=None,
+    reach=None,
 ) -> np.ndarray:
-    """sum_k w_k T_k f(y_p) at each point y_p, for each weight vector w, by Gauss-Hermite rules.
+    """sum_k w_k T_k f(y_p) at each point y_p, by Gauss-Hermite rules.
 
-    rows is (r, s, *weights): K distinct rows (r_k, s_k), as _row_table
-    gathers them from the folded rows of _folded_rows or the fixed angle
-    rows of _angle_rows, and one or more weight tables, each (K,) for every
-    point or (mixtures, K) with which[p] the mixture of point p; the result
-    is (weights, points).
+    rows is (r, s, w): K distinct rows (r_k, s_k), as _row_table gathers
+    them from the folded rows of _folded_rows or the fixed angle rows of
+    _angle_rows, and weights w, (K,) for every point or (mixtures, K) with
+    which[p] the mixture of point p.
     T_k f(y) is the integral of f(r_k y + s_k u) dgamma(u), one per (point,
     row) pair of nonzero weight, by:
       * s_k = 0 (the angle-0 row, T_0 f = f): f(r_k y) times the rule's
         weight sum, one f-value;
-      * r_k|y - x| < _TILT_CAP s_k, given an apex x (_anchored): the anchor
+      * r_k rho < _TILT_CAP s_k, given an apex x (_anchored): the anchor
         (r_k x, s_k), f taken once per row whatever the points. With delta
         = r_k(y - x)/s_k the shift u -> u + delta gives
           T_k f(y) = integral of f(r_k x + s_k u) exp(2<u, delta> - |delta|^2) dgamma(u),
-        an importance-weighted rule (_Tilted);
+        an importance-weighted rule (_Tilted). rho is reach[p], a bound on
+        |y - x| (|y - x| itself by default), so |delta| < _TILT_CAP;
       * every other pair: the shifted rule, anchored at (r_k y, s_k).
     The anchors of the rows and then the shifted pairs, row-major, are each
     one walk of `hermite._gh_blocks`. A pair's rule depends on its point
     and row alone, its value on the other pairs only in the rounding of the
     tilted contraction they share. Each point sums its terms in row order.
     """
-    r, s, *weights = rows
+    r, s, w = rows
     n, d = points.shape
-    weights = [np.atleast_2d(w) for w in weights]
+    w = np.atleast_2d(w)
     which = np.zeros(n, dtype=int) if which is None else which
     # the pairs of nonzero weight, row-major
-    k, p = np.nonzero(np.logical_or.reduce([w != 0.0 for w in weights]).T[:, which])
+    k, p = np.nonzero((w != 0.0).T[:, which])
     integral = np.zeros(k.size)
     rule = hermite.gauss_hermite_grid(d, cfg.gh_nodes)
     what = "semigroup integrand"
@@ -370,9 +358,9 @@ def _mixture_values(
     near = np.zeros(k.size, dtype=bool)
     if apex is not None:
         offsets = points[p] - apex
-        reach = r[k] * np.sqrt(np.sum(offsets * offsets, axis=1))
+        rho = np.sqrt(np.sum(offsets * offsets, axis=1)) if reach is None else reach[p]
         # |delta| < _TILT_CAP, tested without dividing by s
-        near = ~flat & (reach < _TILT_CAP * s[k])
+        near = ~flat & (r[k] * rho < _TILT_CAP * s[k])
         integral[near] = _anchored(f, apex, r, s, k[near], offsets[near], rule, cfg)
     far = np.flatnonzero(~flat & ~near)
     # take is cheaper than fancy indexing on these long index arrays
@@ -383,10 +371,8 @@ def _mixture_values(
         for _, vals, wts in blocks:
             sums += np.vecdot(vals, wts)
         integral[far[group]] = sums
-    out = np.zeros((len(weights), n))
-    at = which[p] * r.size + k
-    for acc, w in zip(out, weights):
-        np.add.at(acc, p, w.ravel().take(at) * integral)
+    out = np.zeros(n)
+    np.add.at(out, p, w.ravel().take(which[p] * r.size + k) * integral)
     return out
 
 
@@ -426,14 +412,12 @@ class Semigroup:
         return next(iter(self.routes.values()))
 
     def _rows(self, t: float, route: str | None = None):
-        """The (r, s, w, check) rows of the named route's mixture at t, or the default route's.
+        """The (r, s, w) rows of the named route's mixture at t, or the default route's.
 
         The default route's mixture is moved onto the fixed angle rows of
         _angle_rows where its distinct rows, the ones _folded_rows would
-        keep, outnumber them, and check holds the order-16 weights of the
-        same mixture on the even rows; every other route, and a mixture of
-        at most that many rows (OU's one), keeps its own rows, folded, and
-        check is None.
+        keep, outnumber them; every other route, and a mixture of at most
+        that many rows (OU's one), keeps its own rows, folded.
         """
         default = next(iter(self.routes))
         route = default if route is None else route
@@ -441,8 +425,8 @@ class Semigroup:
         if route == default and len(times) > _ANGLES + 1:
             r, s = _decay_rows(times)
             if np.unique(r + 1j * s).size > _ANGLES + 1:
-                return (*_angle_rows(r, s, weights), _angle_rows(r, s, weights, 2)[2])
-        return (*_folded_rows(times, weights), None)
+                return _angle_rows(r, s, weights)
+        return _folded_rows(times, weights)
 
     def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
         # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
@@ -474,7 +458,7 @@ class Semigroup:
 
     def values(
         self, f, points, times, route: str = "auto", cfg: QuadratureConfig = DEFAULT_CONFIG,
-        apex=None,
+        apex=None, cone: str | None = None,
     ) -> np.ndarray:
         """S_t f at each (points[i], times[i]) by the named route, or by 'auto'.
 
@@ -482,10 +466,13 @@ class Semigroup:
         route takes every pair by one `_mixture_values` call on the rows of
         all the times; given the apex x the pairs take its anchors (r x, s)
         wherever their tilt allows, so a path, a cone or a time supremum
-        about x takes f once per row. Without one a point's value is the one
-        it gets alone; with one, up to the rounding of the tilted
-        contraction. A projected value whose order-16 twin differs by more
-        than _ROUGH is taken on the mixture's own rows instead.
+        about x takes f once per row. Given also the kind of cone the points
+        lie in, a point inside the cone at fraction q of its cross-section's
+        radius bounds its tilt with q times the radius about an apex of norm
+        0, the widest at every t: the rule of the point then depends on its
+        time, row and q alone, and the work of a cone or path does not depend
+        on its apex. Without an apex a point's value is the one it gets
+        alone; with one, up to the rounding of the tilted contraction.
         """
         f, series, route, ts = self._checked(f, times, route)
         pts = as_points(points, f.dimension)[0]
@@ -500,29 +487,22 @@ class Semigroup:
             return out
         if not out.size:
             return out
-        x = None if apex is None else _single_point(apex, f.dimension)
-
-        def mixed(mixtures, at, col, about):
-            # point at[i] takes mixtures[col[i]]; pairs held at once: all of
-            # them about an apex, which shares its anchors, else _PAIR_BUDGET
-            rows = _row_table(mixtures)
-            step = at.size if about is not None else max(
-                1, _PAIR_BUDGET // int(np.max(np.sum(rows[2] != 0.0, axis=1))))
-            vals = np.empty((len(rows) - 2, at.size))
-            for lo in range(0, at.size, step):
-                chunk = slice(lo, lo + step)
-                vals[:, chunk] = _mixture_values(f, pts[at[chunk]], rows, cfg, about, col[chunk])
-            return vals
-
-        vals = mixed([self._rows(t, route) for t in uniq.tolist()], np.arange(out.size), which, x)
-        out[:] = vals[0]
-        # a projected value and its order-16 twin (_rows)
-        rough = np.flatnonzero(np.abs(vals[0] - vals[-1]) > _ROUGH)
-        if rough.size:
-            need, col = np.unique(which[rough], return_inverse=True)
-            own = [(*_decay_rows(times), weights, None)
-                   for times, weights in map(self.routes[route], uniq[need].tolist())]
-            out[rough] = mixed(own, rough, col, None)[0]
+        rows = _row_table([self._rows(t, route) for t in uniq.tolist()])
+        if apex is not None:
+            # every pair at once: they share the apex's anchors
+            x = _single_point(apex, f.dimension)
+            reach = np.linalg.norm(pts - x, axis=1)
+            if cone is not None:
+                # a point at fraction q of its section's radius is bounded as
+                # q times the widest section's: an apex of norm 0
+                own = _apertures(cone, np.linalg.norm(x), uniq[which])
+                inside = reach < own
+                reach[inside] *= _apertures(cone, 0.0, uniq[which][inside]) / own[inside]
+            return _mixture_values(f, pts, rows, cfg, x, which, reach)
+        step = max(1, _PAIR_BUDGET // int(np.max(np.sum(rows[2] != 0.0, axis=1))))
+        for lo in range(0, out.size, step):
+            chunk = slice(lo, lo + step)
+            out[chunk] = _mixture_values(f, pts[chunk], rows, cfg, which=which[chunk])
         return out
 
     def apply(
@@ -570,7 +550,7 @@ class Semigroup:
         ts, cells = _cone_grid(ConeSpec(xa, kind), cfg, times)
         pts = cells.reshape(-1, f.dimension)
         pt_times = np.repeat(ts, cells.shape[1])
-        vals = self.values(f, pts, pt_times, "auto", cfg, xa)
+        vals = self.values(f, pts, pt_times, "auto", cfg, xa, kind)
         # grid order is t ascending, then lexicographic y: the first largest wins ties
         value, arg = _first_max(
             vals, lambda i: (tuple(float(c) for c in pts[i]), float(pt_times[i]))

@@ -33,30 +33,30 @@ to about 1e-10 for t in [0.1, 4].
 The default route is moved onto 33 fixed angle rows (`mehler.ou._angle_rows`,
 interpolation order 32) wherever its distinct OU rows (r, s) outnumber
 them, at every t up to about 100 (up to 219 rows, near t = 1e-7): they
-are interpolated in theta = atan2(s, r) at Chebyshev-Lobatto angles and
-the interpolant is integrated exactly, so a value takes 33 row integrals
-whatever t, and a path, cone or time supremum about one apex takes f on
-those 33 anchors (`mehler.ou._mixture_values`).
-At order 16 the P_t paths of the perfbench poisson-path workload miss its
-1e-9 check on bump (by up to 2.0e-9). At 32, on bump (d = 1, 2, 3) over
-the default time grid, the values differ from the unprojected sums by at
-most 6.7e-16. On the ball indicator and the spike the 64-node row
-integrals are not smooth in theta, and the projection moves values by up
-to 1.3e-2 (ball, d = 1) and 3.1e-4 (spike, d = 1) over five points and the
-default time grid. Near the ball's rim it does far worse than the rule's
-own error: at y = 1.00017, t = 3.2e-4 (a path at apex 0.9912) the projected
-value is 0.138 off the closed form and the unprojected rows 4.1e-3, since
-g(theta) jumps near theta = 0 when y sits on the rim; 48 or 96 fixed angles
-do no better (4.3e-2, 7.0e-2). So each projected value is checked against
-its order-16 twin on the even rows, at no f-evaluation: where |p_16 -
-p_32| exceeds `mehler.ou._ROUGH` = 1e-3 the value is taken on the
-mixture's own rows instead. Over 2 560 ball path points in d = 1 (the
-perfbench poisson-path apexes of seeds 1-20, and 0.9912, 0.5 and +-1),
-every value whose projection erred by more than 0.05 read at least 6.9e-3,
-and on bump in d = 2 the check reads at most 5.6e-10; at 1e-3, 29% of
-those ball values fall back, and the worst error left is 0.0426, the
-64-node rule's own on the ball. The kernel route keeps its own rows, so
-the two quadrature routes remain two different f-quadratures of P_t.
+are interpolated in xi, theta = atan2(s, r) = (pi/2) xi^{3/2}, at
+Chebyshev-Lobatto points and the interpolant is integrated exactly, so a
+value takes 33 row integrals whatever t, and a path, cone or time supremum
+about one apex takes f on those 33 anchors (`mehler.ou._mixture_values`).
+The first angles are 1.9e-4, 1.5e-3 and 5.0e-3 (3.8e-3, 1.5e-2 and 3.4e-2
+spread evenly in theta). On bump (d = 1, 2) over the default time grid the
+values differ from the unprojected sums by at most 8.7e-16. The row
+integral g(theta) is even in theta, so it is smooth in xi^3: at xi^{5/4}
+they differ by 1e-8, at xi^2 by 3.4e-14 on more small angles, where the
+pairs of a path take the shifted rule. On the ball indicator and the spike
+g is not smooth: the projection moves values by up to 8.9e-3 (ball, d = 1)
+and 3.9e-4 (spike, d = 1) over five points and the default time grid. A y
+at distance e from the ball's rim turns g near theta = e, where the
+mixture of a time t ~ e lies. At y = 1.00017, t = 3.2e-4 (a path at apex
+0.9912) angles spread evenly in theta were 0.138 off the closed form; these
+are 1.3e-3 off, the unprojected rows 4.1e-3. Over 2 560 ball path points in
+d = 1 (the perfbench poisson-path apexes of seeds 1-20, and 0.9912, 0.5 and
++-1) the worst error is 0.0426, the 64-node rule's own, and no value moves
+more than 0.026 from the unprojected rows; evenly spread angles erred up to
+0.138. A layer thinner than the angles near 0 stays unresolved: no fixed
+set of angles resolves all of them, and a per-value fallback would make
+the work of a path depend on where it meets the rim. The kernel route
+keeps its own rows, so the two quadrature routes remain two different
+f-quadratures of P_t.
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ def test_mixture_values_match_the_packing_loop(monkeypatch, dimension, config, b
     points = np.random.default_rng(dimension).uniform(-0.8, 0.8, size=(3, dimension))
     rows = _folded_rows((0.05, 0.7, math.inf), (0.25, 0.5, 0.25))
     values, shapes = counted(f)
-    got = _mixture_values(type(f)(dimension, values), points, rows, cfg)[0]
+    got = _mixture_values(type(f)(dimension, values), points, rows, cfg)
     want_values, want_shapes = counted(f)
     want = reference_mixture_values(type(f)(dimension, want_values), points, rows, cfg)
     assert np.array_equal(got, want)

@@ -59,12 +59,12 @@ def section(sg, kind: str, apex, t: float, cfg=CFG):
 
 def section_values(f, xa, pts, rows, cfg=CFG):
     # the cells of one cross-section about its apex
-    return _mixture_values(f, pts, rows, cfg, xa)[0]
+    return _mixture_values(f, pts, rows, cfg, xa)
 
 
 def shifted(f, pts, rows, cfg=CFG):
     # every cell by its own shifted rule
-    return _mixture_values(f, pts, rows, cfg)[0]
+    return _mixture_values(f, pts, rows, cfg)
 
 
 def counted(f):
@@ -215,13 +215,15 @@ def test_poisson_suprema_take_f_once_per_angle_row():
     # the gaussian cone's 64 times share the 33 angle rows, so f is taken on
     # at most 33 anchors (r x, s), on n^d nodes each, on n^d nodes per
     # shifted (row, cell) pair at or above _TILT_CAP, and once per cell for
-    # the angle-0 row; a time supremum takes the anchors and the angle-0 row
+    # the angle-0 row; a time supremum takes the anchors and the angle-0 row.
+    # At |x| < 1 every section is as wide as at an apex of norm 0, so a
+    # cell's tilt is bounded by its own r|y - x|/s
     f, sizes = counted(catalog_entry("bump", 2).rep)
     xa = np.array(APEXES[2])
     times, cells = _cone_grid(ConeSpec(APEXES[2], "gaussian"), CFG)
     far = 0
     for t, cell in zip(times, cells):
-        r, s, c, _ = POISSON._rows(float(t))
+        r, s, c = POISSON._rows(float(t))
         reach = r[:, None] * np.linalg.norm(cell - xa, axis=1)
         far += int(((reach >= _TILT_CAP * s[:, None]) & (s > 0.0)[:, None]
                         & (c != 0.0)[:, None]).sum())

@@ -81,7 +81,7 @@ def bump(dimension: int = 1) -> PointwiseFunction:
 
 def mixture(f, points, times, weights, cfg) -> np.ndarray:
     # sum_k w_k T_{t_k} f at each point, on the folded rows of (times, weights)
-    return _mixture_values(f, points, _folded_rows(times, weights), cfg)[0]
+    return _mixture_values(f, points, _folded_rows(times, weights), cfg)
 
 
 def bump_transform_exact(x: float, t: float) -> float:
