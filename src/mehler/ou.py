@@ -27,64 +27,54 @@ The t -> 0 blowup of the kernel normalization is never evaluated: the
 substitution stays well-conditioned down to t = 0 and covers t = +inf
 (where T_t f collapses to the gamma-mean of f).
 
-Every quadrature value of a black-box f takes f on c + s*nodes of one
-Gauss-Hermite rule, for anchors (c, s), through the walker
-`hermite._gh_blocks`, which alone packs f's calls: whole anchors into
-blocks of at most 2^14 points, or one anchor over node slices when its rule
-alone exceeds that (d = 3 at 64 nodes per axis). The working memory is a
-block, under 0.4 MB of coordinates in d = 3, next to the cached GH grid
-(8.4 MB), and the pair tables of one `_mixture_values` call. f gets a
-Fortran-ordered (n, d) view, from every walk, the polar ball profile of
-`hl_maximal` too: evaluators must not assume C-contiguity. Every value is
-a weighted mixture sum_k w_k T_{t_k} f at a (point, time) pair, and
-`_mixture_values` takes all the pairs of a `Semigroup.values` call at
-once, keyed by row (r, s) = (e^{-t}, sqrt(1 - e^{-2t})): the distinct rows
-of all the times (_row_table; equal rows fold, see _folded_rows), and
-their integrals per (point, row). A default route whose distinct rows
-outnumber 33 (P_t's subordination rule: 62 to 219 rows at t from 10 down
-to 1e-7) is moved onto 33 fixed rows instead (_angle_rows): a row (r, s)
-is the angle theta = atan2(s, r), the row's integral is smooth in theta for
-smooth f, and integrating its interpolant at 33 fixed angles, crowded
-toward theta = 0, exactly against the mixture takes 33 integrals per
-value, whatever the time. OU's one row and the rows of every other route
-are kept. The
-theta = 0 row (s = 0) is T_0 f = f: one f-value per point, times the
-rule's weight sum.
+Every value is a weighted mixture sum_k w_k T_{t_k} f at a (point, time)
+pair, and T_t f is an integral on the row (r, s) = (e^{-t}, sqrt(1 -
+e^{-2t})). `_mixture_values` takes all the pairs of one `Semigroup.values`
+call at once, keyed by row: equal rows fold (_folded_rows, _row_table), so
+a row is integrated once per point however many times share it. A default
+route whose distinct rows outnumber the 33 fixed angle rows is moved onto
+them (_angle_rows): a row is the angle theta = atan2(s, r), its integral is
+smooth in theta for smooth f, and integrating the interpolant exactly
+against the mixture takes 33 integrals per value whatever the time. OU's
+one row and the rows of every other route are kept. The theta = 0 row
+(s = 0) is T_0 f = f: one f-value per point, times the rule's weight sum.
 
+Every other integral takes f on c + s*nodes of one Gauss-Hermite rule, for
+anchors (c, s), through the walker `hermite._gh_blocks`. It alone packs
+f's calls, so f sees blocks of at most 2^14 points, and the working memory
+is a block next to the cached grid. f gets a Fortran-ordered (n, d) view
+from every walk, the polar ball profile of `hl_maximal` too: evaluators
+must not assume C-contiguity.
+
+With no apex a pair at y takes the shifted rule, anchored at (r y, s).
 Given an apex x (the paths of `mehler.experiments`, the cone suprema and
-the time suprema), a (point, row) pair at y takes another rule. With
-c = r x and delta = r(y - x)/s, the shift u -> u + delta gives
+the time suprema), it takes its row's anchor (r x, s) instead where its
+tilt allows. With delta = r(y - x)/s, the shift u -> u + delta gives
 
-  T_t f(y) = integral of f(c + s u) exp(2<u, delta> - |delta|^2) dgamma(u),
+  T_t f(y) = integral of f(r x + s u) exp(2<u, delta> - |delta|^2) dgamma(u),
 
-so f is taken once per row on c + s*nodes, and each pair is a reweighted
-sum of those values: an importance-weighted Gauss-Hermite rule (_Tilted).
-On P_t's fixed angle rows f is taken on at most 33 anchors per apex
-whatever the times, and all of them are one walk. A pair's rule does not
-depend on the other pairs, but the last bits of its value do: the pairs
-of a row share one matrix product. The weight factors over the axes; the
-contraction keeps the anchor's weighted node values (n^d, 2 MB in d = 3)
-from the same node blocks, so f sees the same 2^14 budget, and holds
-cells x n^{d-1} tilt products (at most _TILT_CELLS entries, 2 MB, at a
-time) and an n x cells accumulator. A pair whose tilt reaches _TILT_CAP
-takes the shifted rule instead, anchored at (r y, s); all of those are one
-more walk. The tilt of a point of a cone is bounded by where it sits in
-the widest cross-section at its time (Semigroup.values), so the work of a
-path or a cone depends on its times, not on its apex. Both OU cones keep
-|delta| < 1/sqrt(2) (their aperture is at most sqrt(t)), so no OU cell
-ever takes the shifted rule. On P_t's fixed angle rows |delta| =
-cot(theta_k)|y - x|: up to 5 389|y - x| on the first nonzero angle, so
-the small angles of a path or a cone take the shifted rule at all but the
-smallest times. OU's rows differ at every
-time, so about an apex it takes one anchor per time, as many f-points as
-the shifted rule. The cap is set from the measured error of the rule, not
-its speed: on the ball indicator and the spike, per (row, cell) integral
-against closed forms and a 200-node shifted rule, the tilted rule errs
-like the shifted one up to |delta| = 2; above it its error on the spike
-grows to 1.5-2x the shifted rule's, and above 4 to orders of magnitude
-more in d = 3. Nor do far pairs share anchors: on a lattice of spacing h
-about r x, h in [0.25, 2], they erred 2.2-5.3x the shifted rule at the
-spike's kink, d = 1. Series inputs keep the spectral route.
+so f is taken once per row on r x + s*nodes, whatever the points, and each
+pair is a reweighted sum of those values: an importance-weighted
+Gauss-Hermite rule. The weight factors over the axes, so the contraction
+(_tilted_sums) is a matrix product against per-axis tables. All the anchors
+of a call, tilted, plain (every delta 0) and shifted, are one walk; a
+tilted anchor keeps its n^d weighted values only until its group of the
+walk ends. A pair's rule does not depend on the other pairs, but the last
+bits of its value do: the pairs of a row share one contraction.
+
+A pair whose tilt reaches _TILT_CAP takes the shifted rule instead. The cap
+is set from the rule's measured error, not its speed: on the ball
+indicator and the spike, against closed forms and a fine shifted rule, the
+tilted rule errs like the shifted one below the cap and worse above it,
+and far pairs sharing re-centred anchors erred more than the shifted rule
+at the spike's kink. Both OU cones keep |delta| < 1/sqrt(2) (their
+aperture is at most sqrt(t)), so no OU cell takes the shifted rule; OU's
+rows differ at every time, so about an apex it takes one anchor per time.
+On P_t's fixed angle rows |delta| = cot(theta_k)|y - x|, so their small
+angles take the shifted rule at all but the smallest times. The tilt of a
+point of a cone is bounded by where it sits in the widest cross-section at
+its time (Semigroup.values), so the work of a path or a cone depends on
+its times, not on its apex. Series inputs keep the spectral route.
 
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
@@ -123,8 +113,8 @@ from .measure import MaximalEstimate, _first_max, gaussian_norm, hl_maximal
 _TILT_CAP = 2.0
 # (point, row) pairs of one _mixture_values call with no apex to share
 _PAIR_BUDGET = 1 << 14
-# entries of the tilt products a _Tilted holds at once (2 MB): 57 cells in
-# d = 3 at 64 nodes, a whole OU cone section, or 4 096 cells in d = 2
+# entries of the trailing tilt products _tilted_sums holds at once (2 MB):
+# 64 cells in d = 3 at 64 nodes, so a whole OU cone section, or 4 096 in d = 2
 _TILT_CELLS = 1 << 18
 
 
@@ -236,82 +226,34 @@ def _row_table(mixtures):
     return -keys.real, keys.imag, table
 
 
-class _Tilted:
-    """The tilted sums of one anchor (c, s) at cells y with tilts delta = r(y - x)/s.
+def _tilted_sums(weighted: np.ndarray, tilts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """integral of f(c + s v) exp(2<v, delta> - |delta|^2) dgamma(v) for each tilt delta.
 
-    integral of f(c + s v) exp(2<v, delta> - |delta|^2) dgamma(v), per delta,
-    from the anchor's weighted node values, kept one node block at a time
-    and summed at close. The tilt factors over the axes: E_j[cell, i] =
-    exp(2 delta_j g_i - delta_j^2) on the 1-d nodes g. Each block is
+    weighted holds the n^d weighted node values of one anchor (c, s), g the
+    1-d nodes. The tilt factors over the axes: E_j[cell, i] = exp(2 delta_j
+    g_i - delta_j^2). The values, as n rows of the leading axis, are
     contracted against the product of the trailing d - 1 tables (cells x
-    n^{d-1}, at most _TILT_CELLS entries of it at a time) into one (n,
-    cells) accumulator indexed by the leading axis, and the leading table
-    closes the sum. A block that starts or ends inside a leading-axis slice
-    is zero-padded to whole slices.
+    n^{d-1}, at most _TILT_CELLS entries of it at a time), as many rows at
+    once as fill one block of the walk, and the leading table closes the
+    sum. The products' shapes depend on n, d and the cells alone, so a
+    value's rounding does not depend on how its anchor shares the walk.
     """
-
-    def __init__(self, tilts: np.ndarray, g: np.ndarray):
-        cells, d = tilts.shape
-        self.tables = [np.exp(2.0 * tilts[:, j, None] * g - tilts[:, j, None] ** 2)
-                       for j in range(d)]
-        self.width = g.size ** (d - 1)
-        self.step = max(1, _TILT_CELLS // self.width)
-        self.kept = []
-
-    def add(self, weighted: np.ndarray, start: int) -> None:
-        """Keep the weighted values of the anchor's nodes start, start + 1, ..."""
-        self.kept.append((weighted, start))
-
-    def close(self) -> np.ndarray:
-        cells = self.tables[0].shape[0]
-        acc = np.zeros((self.tables[0].shape[1], cells))
-        for lo in range(0, cells, self.step):
-            chunk = slice(lo, lo + self.step)
-            trailing = np.ones((self.tables[0][chunk].shape[0], 1))
-            for table in self.tables[1:]:
-                trailing = (trailing[:, :, None] * table[chunk, None, :]).reshape(
-                    trailing.shape[0], -1)
-            for weighted, start in self.kept:
-                first, skip = divmod(start, self.width)
-                slices = -(-(skip + weighted.size) // self.width)
-                padded = np.zeros(slices * self.width)
-                padded[skip : skip + weighted.size] = weighted
-                acc[first : first + slices, chunk] += padded.reshape(slices, self.width) @ trailing.T
-        return np.einsum("ia,ai->i", self.tables[0], acc)
-
-
-def _anchored(f: FunctionRep, apex: np.ndarray, r, s, k, offsets, rule, cfg) -> np.ndarray:
-    """T_k f(apex + offset) for each pair (row k, offset), row-major, of tilt below _TILT_CAP.
-
-    f is taken on the anchors (r_k x, s_k) of the pairs' rows, all in one
-    walk of `hermite._gh_blocks`. The pairs of an anchor are the cells of
-    one _Tilted, with delta = r_k offset / s_k, unless every delta is 0
-    (y = x, or r_k = 0): then each takes the anchor's own sum. One _Tilted
-    is held at a time: an anchor spans several blocks only alone in its group.
-    """
-    out = np.empty(k.size)
-    anchors, first = np.unique(k, return_index=True)
-    bounds = np.append(first, k.size)
-    moved = (r[k] != 0.0) & np.any(offsets != 0.0, axis=1)
-    g = hermite._gh_rule_1d(cfg.gh_nodes)[0]
-    walk = hermite._gh_blocks(f.values, r[anchors, None] * apex, s[anchors], rule,
-                              "semigroup integrand")
-    for group, blocks in walk:
-        spans = [slice(bounds[i], bounds[i + 1]) for i in range(anchors.size)[group]]
-        tilted = np.array([moved[j].any() for j in spans])
-        sums, start, tilt = np.zeros(np.sum(~tilted)), 0, None
-        for _, vals, wts in blocks:
-            sums += np.vecdot(vals[~tilted], wts)
-            for row, j, row_vals in zip(anchors[group][tilted], np.array(spans)[tilted],
-                                        vals[tilted]):
-                tilt = tilt or _Tilted((r[row] / s[row]) * offsets[j], g)
-                tilt.add(row_vals * wts, start)
-                if start + wts.size == rule[1].size:
-                    out[j], tilt = tilt.close(), None
-            start += wts.size
-        for j, total in zip(np.array(spans)[~tilted], sums):
-            out[j] = total
-    return out
+    cells, d = tilts.shape
+    tables = [np.exp(2.0 * tilts[:, j, None] * g - tilts[:, j, None] ** 2) for j in range(d)]
+    width = g.size ** (d - 1)
+    leading = weighted.reshape(g.size, width)
+    per_product = max(1, hermite._BLOCK_POINTS // width)
+    step = max(1, _TILT_CELLS // width)
+    acc = np.empty((g.size, cells))
+    for lo in range(0, cells, step):
+        chunk = slice(lo, lo + step)
+        trailing = np.ones((tables[0][chunk].shape[0], 1))
+        for table in tables[1:]:
+            trailing = (trailing[:, :, None] * table[chunk, None, :]).reshape(
+                trailing.shape[0], -1)
+        for i in range(0, g.size, per_product):
+            acc[i : i + per_product, chunk] = leading[i : i + per_product] @ trailing.T
+    return np.einsum("ia,ai->i", tables[0], acc)
 
 
 def _mixture_values(
@@ -328,17 +270,20 @@ def _mixture_values(
     row) pair of nonzero weight, by:
       * s_k = 0 (the angle-0 row, T_0 f = f): f(r_k y) times the rule's
         weight sum, one f-value;
-      * r_k rho < _TILT_CAP s_k, given an apex x (_anchored): the anchor
-        (r_k x, s_k), f taken once per row whatever the points. With delta
-        = r_k(y - x)/s_k the shift u -> u + delta gives
+      * r_k rho < _TILT_CAP s_k, given an apex x: the row's anchor (r_k x,
+        s_k), f taken once per row whatever the points. With delta = r_k(y
+        - x)/s_k the shift u -> u + delta gives
           T_k f(y) = integral of f(r_k x + s_k u) exp(2<u, delta> - |delta|^2) dgamma(u),
-        an importance-weighted rule (_Tilted). rho is reach[p], a bound on
-        |y - x| (|y - x| itself by default), so |delta| < _TILT_CAP;
-      * every other pair: the shifted rule, anchored at (r_k y, s_k).
-    The anchors of the rows and then the shifted pairs, row-major, are each
-    one walk of `hermite._gh_blocks`. A pair's rule depends on its point
-    and row alone, its value on the other pairs only in the rounding of the
-    tilted contraction they share. Each point sums its terms in row order.
+        an importance-weighted rule (_tilted_sums). rho is reach[p], a bound
+        on |y - x| (|y - x| itself by default), so |delta| < _TILT_CAP. A
+        row whose deltas are all 0 (y = x, or r_k = 0) is a plain sum;
+      * every other pair: the shifted rule, its own anchor (r_k y, s_k).
+    The flat pairs are one f-call. The anchors, the rows' and then the
+    shifted pairs', row-major, are one walk of `hermite._gh_blocks`: a plain
+    anchor sums its blocks, a tilted one keeps its weighted values until its
+    group ends. A pair's rule depends on its point and row alone, its value
+    on the other pairs only in the rounding of the tilted contraction they
+    share. Each point sums its terms in row order.
     """
     r, s, w = rows
     n, d = points.shape
@@ -355,22 +300,43 @@ def _mixture_values(
         vals = f.values(pts)
         hermite._require_finite(vals, pts, what)
         integral[flat] = vals * np.sum(rule[1])
-    near = np.zeros(k.size, dtype=bool)
+    far = np.flatnonzero(~flat)
+    heads, moved = far[:0], np.zeros(0, dtype=bool)
     if apex is not None:
         offsets = points[p] - apex
         rho = np.sqrt(np.sum(offsets * offsets, axis=1)) if reach is None else reach[p]
         # |delta| < _TILT_CAP, tested without dividing by s
         near = ~flat & (r[k] * rho < _TILT_CAP * s[k])
-        integral[near] = _anchored(f, apex, r, s, k[near], offsets[near], rule, cfg)
-    far = np.flatnonzero(~flat & ~near)
+        shared, far = np.flatnonzero(near), np.flatnonzero(~flat & ~near)
+        # one anchor per row of the shared pairs, tilted unless every delta is 0
+        heads, first, row = np.unique(k[shared], return_index=True, return_inverse=True)
+        moved = np.zeros(heads.size, dtype=bool)
+        moved[row[(r[k[shared]] != 0.0) & np.any(offsets[shared] != 0.0, axis=1)]] = True
+        bounds = np.append(first, shared.size)
+        g = hermite._gh_rule_1d(cfg.gh_nodes)[0]
     # take is cheaper than fancy indexing on these long index arrays
     kf, pf = k.take(far), p.take(far)
-    for group, blocks in hermite._gh_blocks(f.values, r.take(kf)[:, None] * points.take(pf, axis=0),
-                                            s.take(kf), rule, what):
-        sums = np.zeros(far[group].size)
+    centres, scales = r.take(kf)[:, None] * points.take(pf, axis=0), s.take(kf)
+    if heads.size:
+        centres = np.concatenate([r[heads, None] * apex, centres])
+        scales = np.concatenate([s[heads], scales])
+    sums = np.zeros(scales.size)
+    for group, blocks in hermite._gh_blocks(f.values, centres, scales, rule, what):
+        # the group's tilted anchors keep their weighted values until it ends
+        tilt = np.flatnonzero(moved[group])
+        weighted, start = np.empty((tilt.size, rule[1].size)), 0
         for _, vals, wts in blocks:
-            sums += np.vecdot(vals, wts)
-        integral[far[group]] = sums
+            sums[group] += np.vecdot(vals, wts)
+            if tilt.size:
+                weighted[:, start : start + wts.size] = vals[tilt] * wts
+                start += wts.size
+        for a, values in zip(tilt + group.start, weighted):
+            j = shared[bounds[a] : bounds[a + 1]]
+            integral[j] = _tilted_sums(values, (r[heads[a]] / s[heads[a]]) * offsets[j], g)
+    if heads.size:
+        plain = ~moved[row]
+        integral[shared[plain]] = sums[row[plain]]
+    integral[far] = sums[heads.size :]
     out = np.zeros(n)
     np.add.at(out, p, w.ravel().take(which[p] * r.size + k) * integral)
     return out

@@ -22,41 +22,30 @@ identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}.
 The square rule takes 28 Gauss-Legendre panels in v = sqrt(u): one on
 [0, 1e-14], a geometric climb through 1e-6 to 1.2, and linear panels out
 to v = 6, with nodes // 20 points each (280 nodes at the default budget of
-200). The step of e^{-lambda^2/4v^2} at v ~ lambda/2 crosses the geometric
-panels for every lambda above about 1e-14, so the rule errs by less than
-1e-11 over lambda in {0} and [1e-12, 5] (at most 7.5e-12; 6.9e-12 over
-lambda in {1e-12, 1e-9, 1e-8, 4e-8, 1e-7, 1.1e-6} and [1e-5, 5]), and by
-under 1e-15 below 1e-12, where the step falls inside the first panel and
-the error grows like lambda. The kernel rule reproduces eigenvalue decay
-to about 1e-10 for t in [0.1, 4].
+200). The integrand steps at v ~ lambda/2, and the geometric panels put
+that step inside a short panel for every lambda above about 1e-14, so the
+rule holds the identity below 1e-11 over lambda in {0} and [1e-12, 5]
+(pinned by tests/test_poisson.py); below 1e-12 it errs by under 1e-15,
+growing like lambda. The kernel rule reproduces eigenvalue decay to about
+1e-10 for t in [0.1, 4].
 
-The default route is moved onto 33 fixed angle rows (`mehler.ou._angle_rows`,
-interpolation order 32) wherever its distinct OU rows (r, s) outnumber
-them, at every t up to about 100 (up to 219 rows, near t = 1e-7): they
-are interpolated in xi, theta = atan2(s, r) = (pi/2) xi^{3/2}, at
-Chebyshev-Lobatto points and the interpolant is integrated exactly, so a
-value takes 33 row integrals whatever t, and a path, cone or time supremum
-about one apex takes f on those 33 anchors (`mehler.ou._mixture_values`).
-The first angles are 1.9e-4, 1.5e-3 and 5.0e-3 (3.8e-3, 1.5e-2 and 3.4e-2
-spread evenly in theta). On bump (d = 1, 2) over the default time grid the
-values differ from the unprojected sums by at most 8.7e-16. The row
-integral g(theta) is even in theta, so it is smooth in xi^3: at xi^{5/4}
-they differ by 1e-8, at xi^2 by 3.4e-14 on more small angles, where the
-pairs of a path take the shifted rule. On the ball indicator and the spike
-g is not smooth: the projection moves values by up to 8.9e-3 (ball, d = 1)
-and 3.9e-4 (spike, d = 1) over five points and the default time grid. A y
-at distance e from the ball's rim turns g near theta = e, where the
-mixture of a time t ~ e lies. At y = 1.00017, t = 3.2e-4 (a path at apex
-0.9912) angles spread evenly in theta were 0.138 off the closed form; these
-are 1.3e-3 off, the unprojected rows 4.1e-3. Over 2 560 ball path points in
-d = 1 (the perfbench poisson-path apexes of seeds 1-20, and 0.9912, 0.5 and
-+-1) the worst error is 0.0426, the 64-node rule's own, and no value moves
-more than 0.026 from the unprojected rows; evenly spread angles erred up to
-0.138. A layer thinner than the angles near 0 stays unresolved: no fixed
-set of angles resolves all of them, and a per-value fallback would make
-the work of a path depend on where it meets the rim. The kernel route
-keeps its own rows, so the two quadrature routes remain two different
-f-quadratures of P_t.
+The default route is moved onto the 33 fixed angle rows of
+`mehler.ou._angle_rows` (interpolation order 32) wherever its distinct OU
+rows outnumber them, at every t up to about 100. A row's integral g(theta),
+theta = atan2(s, r), is even in theta, so it is smooth in xi^3 for theta =
+(pi/2) xi^{3/2}; g is interpolated in xi at Chebyshev-Lobatto points and
+the interpolant is integrated exactly. So a value takes 33 row integrals
+whatever t, and a path, cone or time supremum about one apex takes f on
+those 33 anchors (`mehler.ou._mixture_values`). The angles crowd toward 0,
+where a short time's mixture lies: a point at distance e from the ball's
+rim turns g near theta = e. On bump the projection stays within 1e-14 of
+the unprojected sums (tests/test_poisson.py). On the ball indicator and the
+spike g is not smooth, and a layer thinner than the first angles stays
+unresolved: no fixed set of angles resolves all of them, and a per-value
+fallback would make the work of a path depend on where it meets the rim.
+README and CHANGES.md carry the measured errors. The kernel route keeps its
+own rows, so the two quadrature routes remain two different f-quadratures
+of P_t.
 """
 
 from __future__ import annotations

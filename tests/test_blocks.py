@@ -134,12 +134,15 @@ def test_mixture_values_match_the_packing_loop(monkeypatch, dimension, config, b
     f = catalog_entry("ball", dimension).rep
     points = np.random.default_rng(dimension).uniform(-0.8, 0.8, size=(3, dimension))
     rows = _folded_rows((0.05, 0.7, math.inf), (0.25, 0.5, 0.25))
-    values, shapes = counted(f)
-    got = _mixture_values(type(f)(dimension, values), points, rows, cfg)
-    want_values, want_shapes = counted(f)
-    want = reference_mixture_values(type(f)(dimension, want_values), points, rows, cfg)
-    assert np.array_equal(got, want)
-    assert shapes == want_shapes
+    # about an apex at the one point every tilt is 0: each row's anchor is
+    # the point's own, and takes the plain sum
+    for pts, apex in ((points, None), (points[:1], points[0])):
+        values, shapes = counted(f)
+        got = _mixture_values(type(f)(dimension, values), pts, rows, cfg, apex)
+        want_values, want_shapes = counted(f)
+        want = reference_mixture_values(type(f)(dimension, want_values), pts, rows, cfg)
+        assert np.array_equal(got, want), apex
+        assert shapes == want_shapes, apex
 
 
 @pytest.mark.parametrize("dimension,config,budget", CASES)

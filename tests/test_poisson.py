@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mehler.hermite as hermite_module
 from mehler import (
     HermiteSeries,
     PointwiseFunction,
@@ -343,6 +344,26 @@ def test_path_work_does_not_depend_on_the_apex(name, dimension):
                        "parabolic-gaussian")
         counts.add(seen[0])
     assert len(counts) == 1, counts
+
+
+@pytest.mark.parametrize("apex, kind", [((0.5,), "gaussian"), ((0.3, 0.2), "parabolic-gaussian")])
+def test_a_path_is_one_flat_call_and_one_walk(apex, kind):
+    # the tilted, plain and shifted anchors of a path share one walk, so
+    # every call after the flat one (f at the path's points) is a full block
+    # but the last; a walk per kind of anchor leaves a partial block mid-path
+    f = catalog_entry("bump", len(apex)).rep
+    calls = []
+
+    def evaluator(p):
+        calls.append(p.shape[0])
+        return f.values(p)
+
+    path = cone_path(ConeSpec(apex, kind), 40, 0.5, 0.7, cfg=CFG).points
+    POISSON.values(PointwiseFunction(len(apex), evaluator, vectorized=True),
+                   [y for y, _ in path], [t for _, t in path], "auto", CFG, apex, kind)
+    assert calls[0] == 40
+    assert all(c == hermite_module._BLOCK_POINTS for c in calls[1:-1]), calls
+    assert 0 < calls[-1] <= hermite_module._BLOCK_POINTS
 
 
 def test_infinite_time_gives_the_mean():
