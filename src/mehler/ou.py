@@ -29,14 +29,15 @@ substitution stays well-conditioned down to t = 0 and covers t = +inf
 
 Every value is a weighted mixture sum_k w_k T_{t_k} f at a (point, time)
 pair, and T_t f is an integral on the row (r, s) = (e^{-t}, sqrt(1 -
-e^{-2t})). `_mixture_values` takes all the pairs of one `Semigroup.values`
-call at once, keyed by row: equal rows fold (_folded_rows, _row_table), so
-a row is integrated once per point however many times share it. A default
-route whose distinct rows outnumber the 33 fixed angle rows is moved onto
-them (_angle_rows): a row is the angle theta = atan2(s, r), its integral is
-smooth in theta for smooth f, and integrating the interpolant exactly
-against the mixture takes 33 integrals per value whatever the time. OU's
-one row and the rows of every other route are kept. The theta = 0 row
+e^{-2t})). A route maps a finite time to its rows (r, s, w): OU's one row
+(_time_rows), P_t's kernel rows, or P_t's default mixture moved onto the 33
+fixed angle rows (_angle_rows): a row is the angle theta = atan2(s, r), its
+integral is smooth in theta for smooth f, and integrating the interpolant
+exactly against the mixture takes 33 integrals per value whatever the time.
+t = inf is one row for every route, the gamma-mean's (_GAMMA_MEAN).
+`_mixture_values` takes all the pairs of one `Semigroup.values` call at
+once, keyed by row: equal rows fold in one place (_row_table), so a row is
+integrated once per point however many times share it. The theta = 0 row
 (s = 0) is T_0 f = f: one f-value per point, times the rule's weight sum.
 
 Every other integral takes f on c + s*nodes of one Gauss-Hermite rule, for
@@ -125,25 +126,18 @@ def _decay_pair(t: float) -> tuple[float, float]:
     return r, s
 
 
-def _folded_rows(times, weights):
-    """(r, s, w) of the mixture's rows, each distinct (r, s) pair once.
+def _time_rows(times, weights):
+    """(r, s, w): one row (e^{-t}, sqrt(1 - e^{-2t})) per time, by _decay_pair.
 
-    Rows with equal (r, s) = (e^{-t}, sqrt(1 - e^{-2t})) build bitwise-equal
-    blocks at every point, so they become one row whose weight is the sum of
-    theirs, at the first row's position. Every t above about 745 gives
-    (0.0, 1.0), the t = inf row (the gamma-mean). The fold is exact up to
-    the order of the sum: the row's integral is multiplied by the summed
-    weight instead of being added once per time. It depends on the times
-    alone, so a point's value and the work done do not depend on the other
-    points of the call.
+    Equal rows are kept: _row_table folds them. Every t above about 745
+    gives (0.0, 1.0), the gamma-mean's row.
     """
-    folded: dict[tuple[float, float], float] = {}
-    for t, w in zip(times, weights):
-        pair = _decay_pair(float(t))
-        folded[pair] = folded.get(pair, 0.0) + float(w)
-    r = np.array([key[0] for key in folded])
-    s = np.array([key[1] for key in folded])
-    return r, s, np.array(list(folded.values()))
+    r, s = np.array([_decay_pair(float(t)) for t in times]).reshape(-1, 2).T
+    return r, s, np.asarray(weights, dtype=float)
+
+
+# the t = inf row of every quadrature route: T_inf f is the gamma-mean of f
+_GAMMA_MEAN = (np.zeros(1), np.ones(1), np.ones(1))
 
 
 # interpolation order of the fixed angle rows of a long mixture (_angle_rows),
@@ -160,23 +154,12 @@ _THETA = (math.pi / 2.0) * _XI**1.5
 _ANGLE_R = np.cos(_THETA)
 _ANGLE_S = np.sin(_THETA)
 _ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
-for _fixed in (_XI, _THETA, _ANGLE_R, _ANGLE_S):
+for _fixed in (*_GAMMA_MEAN, _XI, _THETA, _ANGLE_R, _ANGLE_S):
     _fixed.flags.writeable = False
 
 
-def _decay_rows(times) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (e^{-t}, sqrt(1 - e^{-2t})) of many times, as arrays.
-
-    numpy's exp may round otherwise than the math module's, so these agree
-    with _decay_pair to rounding, not bit for bit; they only place rows on
-    the fixed angles of _angle_rows.
-    """
-    ts = np.asarray(times, dtype=float)
-    return np.exp(-ts), np.sqrt(-np.expm1(-2.0 * ts))
-
-
-def _angle_rows(r, s, w):
-    """The mixture sum_j w_j T f on rows (r_j, s_j), moved onto the fixed angle rows.
+def _angle_rows(times, w):
+    """The mixture sum_j w_j T_{t_j} f, moved onto the fixed angle rows.
 
     A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
     even in theta (the gaussian is symmetric) and smooth on [0, pi/2] for
@@ -184,17 +167,20 @@ def _angle_rows(r, s, w):
     xi^{3/2}. Interpolating g in xi at the Chebyshev-Lobatto points xi_k
     and integrating the interpolant exactly against the mixture gives the
     fixed rows (cos theta_k, sin theta_k) with weights c_k = sum_j w_j
-    l_k(xi_j), xi_j = (2 theta_j / pi)^{2/3}, theta_j = atan2(s_j, r_j), l_k
-    the barycentric Lagrange basis (Berrut and Trefethen, SIAM Review
-    2004). The angles crowd toward theta = 0, where a short time's mixture
-    lies (see the poisson module docstring). A xi_j equal to a node (t =
-    inf, and every t above about 745, gives 1) puts its whole weight on it,
-    so equal rows need no fold first. The weights depend on the times
-    alone, and sum to sum_j w_j to rounding.
+    l_k(xi_j), xi_j = (2 theta_j / pi)^{2/3}, theta_j = atan2(s_j, r_j) on
+    the row (r_j, s_j) of t_j, l_k the barycentric Lagrange basis (Berrut
+    and Trefethen, SIAM Review 2004). The rows are numpy's, which may round
+    otherwise than _decay_pair's: they only place the times on the angles.
+    The angles crowd toward theta = 0, where a short time's mixture lies
+    (see the poisson module docstring). A xi_j equal to a node (t = inf, and
+    every t above about 745, gives 1) puts its whole weight on it, so equal
+    rows need no fold first. The weights depend on the times alone, and sum
+    to sum_j w_j to rounding.
     """
+    ts = np.asarray(times, dtype=float)
     bary = (-1.0) ** np.arange(_ANGLES + 1)
     bary[[0, -1]] *= 0.5
-    xi = (np.arctan2(s, r) / (math.pi / 2.0)) ** (2.0 / 3.0)
+    xi = (np.arctan2(np.sqrt(-np.expm1(-2.0 * ts)), np.exp(-ts)) / (math.pi / 2.0)) ** (2.0 / 3.0)
     w = np.asarray(w, dtype=float)
     k = np.searchsorted(_XI, xi)
     node = _XI[k] == xi
@@ -206,11 +192,14 @@ def _angle_rows(r, s, w):
 def _row_table(mixtures):
     """(r, s, w): the distinct rows of many mixtures (r, s, w), and their weights.
 
-    Equal rows fold, their weights summed in order. The rows come out in
-    descending r (then ascending s): ascending angle, the order of the
-    fixed angle rows, so every point sums its terms in one order whatever
-    else shares its call. w is (mixtures, rows), zero where a mixture lacks
-    a row.
+    The one fold of equal rows: rows with equal (r, s) build bitwise-equal
+    blocks at every point, so they become one row whose weight is the sum of
+    theirs, summed in input order. The fold is exact up to the order of the
+    sum: the row's integral is multiplied by the summed weight instead of
+    being added once per time. The rows come out in descending r (then
+    ascending s): ascending time and angle, the order of the fixed angle
+    rows, so every point sums its terms in one order whatever else shares
+    its call. w is (mixtures, rows), zero where a mixture lacks a row.
     """
     if len(mixtures) == 1 and np.all(np.diff(mixtures[0][0]) < 0.0):
         # one mixture of distinct rows in that order already (OU's one row,
@@ -262,10 +251,9 @@ def _mixture_values(
 ) -> np.ndarray:
     """sum_k w_k T_k f(y_p) at each point y_p, by Gauss-Hermite rules.
 
-    rows is (r, s, w): K distinct rows (r_k, s_k), as _row_table gathers
-    them from the folded rows of _folded_rows or the fixed angle rows of
-    _angle_rows, and weights w, (K,) for every point or (mixtures, K) with
-    which[p] the mixture of point p.
+    rows is (r, s, w): K distinct rows (r_k, s_k), as _row_table folds them
+    from the routes' rows, and weights w, (K,) for every point or
+    (mixtures, K) with which[p] the mixture of point p.
     T_k f(y) is the integral of f(r_k y + s_k u) dgamma(u), one per (point,
     row) pair of nonzero weight, by:
       * s_k = 0 (the angle-0 row, T_0 f = f): f(r_k y) times the rule's
@@ -362,37 +350,16 @@ class Semigroup:
     """S_t from its decay rate on chaos k = |beta|, its routes and its cones.
 
     prefix names the transforms ("T" or "P"); routes maps each quadrature
-    route's name to its mixture t -> (times, weights), with S_t f = sum_j w_j
-    T_{s_j} f for a black-box f, the first route being the default; cones
-    holds the cone kinds of `cone_maximal`.
+    route's name to its rows t -> (r, s, w) at a finite t > 0, with S_t f =
+    sum_k w_k T f on the row (r_k, s_k) for a black-box f, the first route
+    being the default; at t = inf every route is the one row _GAMMA_MEAN.
+    cones holds the cone kinds of `cone_maximal`.
     """
 
     prefix: str
     rate: Callable[[int], float]
     routes: dict
     cones: tuple
-
-    @property
-    def mixture(self) -> Callable[[float], tuple]:
-        """The default route's mixture t -> (times, weights)."""
-        return next(iter(self.routes.values()))
-
-    def _rows(self, t: float, route: str | None = None):
-        """The (r, s, w) rows of the named route's mixture at t, or the default route's.
-
-        The default route's mixture is moved onto the fixed angle rows of
-        _angle_rows where its distinct rows, the ones _folded_rows would
-        keep, outnumber them; every other route, and a mixture of at most
-        that many rows (OU's one), keeps its own rows, folded.
-        """
-        default = next(iter(self.routes))
-        route = default if route is None else route
-        times, weights = self.routes[route](t)
-        if route == default and len(times) > _ANGLES + 1:
-            r, s = _decay_rows(times)
-            if np.unique(r + 1j * s).size > _ANGLES + 1:
-                return _angle_rows(r, s, weights)
-        return _folded_rows(times, weights)
 
     def spectral(self, series: HermiteSeries, t: float) -> HermiteSeries:
         # the constant keeps factor exactly 1.0, so t = inf gives no inf * 0
@@ -453,7 +420,8 @@ class Semigroup:
             return out
         if not out.size:
             return out
-        rows = _row_table([self._rows(t, route) for t in uniq.tolist()])
+        rows = _row_table([
+            _GAMMA_MEAN if math.isinf(t) else self.routes[route](t) for t in uniq.tolist()])
         if apex is not None:
             # every pair at once: they share the apex's anchors
             x = _single_point(apex, f.dimension)
@@ -525,7 +493,7 @@ class Semigroup:
 
 
 OU = Semigroup(
-    "T", lambda k: k, {"change_of_var": lambda t: ((t,), (1.0,))},
+    "T", lambda k: k, {"change_of_var": lambda t: _time_rows((t,), (1.0,))},
     ("parabolic-gaussian", "truncated-parabolic"),
 )
 

@@ -6,16 +6,18 @@ P_t is the subordinated Ornstein-Uhlenbeck semigroup,
 
 equivalently termwise decay e^{-t sqrt(|beta|)} on a Hermite expansion.
 So P_t is the `mehler.ou.Semigroup` with rate sqrt(k), the cone kind
-"gaussian" and these routes, the first two mixtures of OU times:
+"gaussian" and these routes, the first two the rows of mixtures of OU
+times:
 
-  subordination  (t^2/4u_j, omega_j), the u-integral after u = v^2 (default)
+  subordination  (t^2/4u_j, omega_j), the u-integral after u = v^2, on the
+                 fixed angle rows (default)
   kernel         the r-integral on (0,1) from r = e^{-t^2/4u} (_kernel_times)
   spectral       termwise e^{-t sqrt(|beta|)} on a Hermite series
 
 Its values, transform, time supremum and cone supremum are the shared ones
-of `mehler.ou`, for d <= 3; the module constant `POISSON` is that
-semigroup, as `mehler.ou.OU` is T_t. This module keeps what is Poisson's
-own: the two mixtures.
+of `mehler.ou`, for d <= 3, and t = inf is the shared gamma-mean row; the
+module constant `POISSON` is that semigroup, as `mehler.ou.OU` is T_t. This
+module keeps what is Poisson's own: the two mixtures and their rows.
 
 The two quadrature layouts are frozen after calibration against the scalar
 identity pi^{-1/2} integral u^{-1/2} e^{-u} e^{-lambda^2/4u} du = e^{-lambda}.
@@ -30,11 +32,12 @@ growing like lambda. The kernel rule reproduces eigenvalue decay to about
 1e-10 for t in [0.1, 4].
 
 The default route is moved onto the 33 fixed angle rows of
-`mehler.ou._angle_rows` (interpolation order 32) wherever its distinct OU
-rows outnumber them, at every t up to about 100. A row's integral g(theta),
-theta = atan2(s, r), is even in theta, so it is smooth in xi^3 for theta =
-(pi/2) xi^{3/2}; g is interpolated in xi at Chebyshev-Lobatto points and
-the interpolant is integrated exactly. So a value takes 33 row integrals
+`mehler.ou._angle_rows` (interpolation order 32) at every finite t. A row's
+integral g(theta), theta = atan2(s, r), is even in theta, so it is smooth
+in xi^3 for theta = (pi/2) xi^{3/2}; g is interpolated in xi at
+Chebyshev-Lobatto points and the interpolant is integrated exactly. Where
+the mixture's distinct rows are 33 or fewer (t above about 120), this
+moves a value by rounding only. So a value takes 33 row integrals
 whatever t, and a path, cone or time supremum about one apex takes f on
 those 33 anchors (`mehler.ou._mixture_values`). The angles crowd toward 0,
 where a short time's mixture lies: a point at distance e from the ball's
@@ -58,7 +61,7 @@ import numpy as np
 
 from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig
 from .measure import MaximalEstimate, _panel_points
-from .ou import Semigroup
+from .ou import Semigroup, _angle_rows, _time_rows
 
 # flat-tail cut for the kernel route: e^{-L} ~ 1e-8 beyond this, so T_L f is
 # replaced by the gamma-mean and the remaining weight integrates to an erf
@@ -121,9 +124,7 @@ def bochner_identity_error(lam: float) -> float:
 
 
 def _subordinated_times(t: float):
-    """P_t's mixture (t^2/4u_j, omega_j), and the atom at t = inf."""
-    if math.isinf(t):
-        return (math.inf,), (1.0,)
+    """P_t's mixture (t^2/4u_j, omega_j) at a finite t."""
     u, omega = subordination_rule(DEFAULT_SUBORDINATION)
     return t * t / (4.0 * u), omega
 
@@ -144,7 +145,7 @@ def _kernel_rule(t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kernel_times(t: float):
-    """The kernel route's mixture: the r-integral on (0, 1), and the atom at t = inf.
+    """The kernel route's mixture at a finite t: the r-integral on (0, 1).
 
     r = e^{-t^2/4u} turns the u-integral into one over r in (0, 1), taken in
     L = -log r: panels graded geometrically between the essential-decay cut
@@ -153,8 +154,6 @@ def _kernel_times(t: float):
     analytic completion. Each T_L f is the same shifted gaussian quadrature
     the OU route uses.
     """
-    if math.isinf(t):
-        return (math.inf,), (1.0,)
     L, W = _kernel_rule(t)
     # the flat tail is an atom at L = inf: the gamma-mean, weighted by an erf
     cut = max(t * t / (4.0 * _KERNEL_U_CUT), _KERNEL_L_HI)
@@ -162,7 +161,11 @@ def _kernel_times(t: float):
 
 
 POISSON = Semigroup(
-    "P", math.sqrt, {"subordination": _subordinated_times, "kernel": _kernel_times},
+    "P", math.sqrt,
+    {
+        "subordination": lambda t: _angle_rows(*_subordinated_times(t)),
+        "kernel": lambda t: _time_rows(*_kernel_times(t)),
+    },
     ("gaussian",),
 )
 

@@ -19,7 +19,7 @@ from mehler import QuadratureConfig, catalog_entry
 from mehler.experiments import _orthonormality_margin
 from mehler.hermite import _hermite_rows, _require_finite, enumerate_multi_indices
 from mehler.measure import _ball_profile, _panel_points, _sphere_rule
-from mehler.ou import _folded_rows, _mixture_values
+from mehler.ou import _mixture_values, _row_table, _time_rows
 
 CFG = QuadratureConfig()
 CONFIGS = {"default": CFG, "refined": CFG.refined(2)}
@@ -44,6 +44,7 @@ def reference_anchor_blocks(values, centres, scales, dimension, cfg, what):
 def reference_mixture_values(f, points, rows, cfg):
     d = f.dimension
     r, s, w = rows
+    w = np.ravel(w)
     n_points = points.shape[0]
     rows_per_block = max(1, hermite_module._BLOCK_POINTS // cfg.gh_nodes**d)
     n_rows = r.size * n_points
@@ -133,7 +134,7 @@ def test_mixture_values_match_the_packing_loop(monkeypatch, dimension, config, b
     cfg = CONFIGS[config]
     f = catalog_entry("ball", dimension).rep
     points = np.random.default_rng(dimension).uniform(-0.8, 0.8, size=(3, dimension))
-    rows = _folded_rows((0.05, 0.7, math.inf), (0.25, 0.5, 0.25))
+    rows = _row_table([_time_rows((0.05, 0.7, math.inf), (0.25, 0.5, 0.25))])
     # about an apex at the one point every tilt is 0: each row's anchor is
     # the point's own, and takes the plain sum
     for pts, apex in ((points, None), (points[:1], points[0])):

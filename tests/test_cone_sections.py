@@ -27,12 +27,18 @@ from mehler.ou import (
     OU,
     _ANGLES,
     _TILT_CAP,
-    _folded_rows,
     _mixture_values,
+    _row_table,
+    _time_rows,
     nontangential_maximal,
     ou_maximal,
 )
-from mehler.poisson import POISSON, poisson_maximal, poisson_nontangential_maximal
+from mehler.poisson import (
+    POISSON,
+    _subordinated_times,
+    poisson_maximal,
+    poisson_nontangential_maximal,
+)
 
 CFG = QuadratureConfig()
 
@@ -54,7 +60,8 @@ def section(sg, kind: str, apex, t: float, cfg=CFG):
     """(apex, cells, folded rows) of the cross-section of the cone at time t."""
     xa = np.asarray(apex, dtype=float)
     pts = _cone_grid(ConeSpec(tuple(apex), kind), cfg, (t,))[1][0]
-    return xa, pts, _folded_rows(*sg.mixture(t))
+    mixture = ((t,), (1.0,)) if sg is OU else _subordinated_times(t)
+    return xa, pts, _row_table([_time_rows(*mixture)])
 
 
 def section_values(f, xa, pts, rows, cfg=CFG):
@@ -223,7 +230,7 @@ def test_poisson_suprema_take_f_once_per_angle_row():
     times, cells = _cone_grid(ConeSpec(APEXES[2], "gaussian"), CFG)
     far = 0
     for t, cell in zip(times, cells):
-        r, s, c = POISSON._rows(float(t))
+        r, s, c = POISSON.routes["subordination"](float(t))
         reach = r[:, None] * np.linalg.norm(cell - xa, axis=1)
         far += int(((reach >= _TILT_CAP * s[:, None]) & (s > 0.0)[:, None]
                         & (c != 0.0)[:, None]).sum())

@@ -21,7 +21,6 @@ import pytest
 import mehler
 import mehler.hermite as hermite_module
 import mehler.ou as ou_module
-import mehler.poisson as poisson_module
 from mehler import (
     HermiteSeries,
     NonFiniteValueError,
@@ -40,8 +39,9 @@ from mehler.experiments import SEMIGROUPS
 from mehler.ou import (
     OU,
     OU_ROUTES,
-    _folded_rows,
     _mixture_values,
+    _row_table,
+    _time_rows,
     maximal_bound_report,
     nontangential_maximal,
     ou_apply,
@@ -55,6 +55,7 @@ from mehler.measure import gaussian_norm, hl_maximal
 from mehler.poisson import (
     POISSON,
     POISSON_ROUTES,
+    _subordinated_times,
     poisson_apply,
     poisson_apply_kernel,
     poisson_apply_spectral,
@@ -81,7 +82,7 @@ def bump(dimension: int = 1) -> PointwiseFunction:
 
 def mixture(f, points, times, weights, cfg) -> np.ndarray:
     # sum_k w_k T_{t_k} f at each point, on the folded rows of (times, weights)
-    return _mixture_values(f, points, _folded_rows(times, weights), cfg)
+    return _mixture_values(f, points, _row_table([_time_rows(times, weights)]), cfg)
 
 
 def bump_transform_exact(x: float, t: float) -> float:
@@ -218,7 +219,10 @@ def test_route_functions_are_the_semigroup_table(name):
             assert call(f, x, 0.7, CFG) == sg.apply(f, x, 0.7, route, CFG)
     want = OU.apply(bump(), 0.4, 0.7, "change_of_var", CFG)
     assert ou_apply_kernel(bump(), 0.4, 0.7, CFG) == want
-    assert poisson_module._kernel_times(math.inf) == ((math.inf,), (1.0,))
+    # t = inf is one gamma-mean row, the same for every quadrature route
+    for f in (bump(), H2):
+        means = [s.apply(f, 0.4, math.inf, r, CFG) for s in (OU, POISSON) for r in s.routes]
+        assert means == [means[0]] * 3
 
 
 def test_cone_kinds_are_the_semigroup_table():
@@ -497,13 +501,22 @@ def counted(f):
 
 
 def row_by_row(f, points, times, weights, cfg) -> np.ndarray:
-    # the unfolded mixture: one full rule per (time, point), summed in time order
+    # the mixture folded by a dict, weights summed in input order, then one
+    # full rule per (distinct row, point), summed over the node slices of
+    # the block budget, the rows in ascending time
+    folded = {}
+    for t, w in zip(times, weights):
+        pair = (math.exp(-t), math.sqrt(-math.expm1(-2.0 * t)))
+        folded[pair] = folded.get(pair, 0.0) + float(w)
     nodes, wts = gauss_hermite_grid(f.dimension, cfg.gh_nodes)
+    block = hermite_module._BLOCK_POINTS
     out = np.zeros(points.shape[0])
-    for i, x in enumerate(points):
-        for t, w in zip(times, weights):
-            r, s = math.exp(-t), math.sqrt(-math.expm1(-2.0 * t))
-            out[i] += w * float(f.values(r * x + s * nodes) @ wts)
+    for (r, s), w in sorted(folded.items(), key=lambda row: (-row[0][0], row[0][1])):
+        for i, x in enumerate(points):
+            vals, integral = f.values(r * x + s * nodes), 0.0
+            for lo in range(0, wts.size, block):
+                integral += float(vals[lo : lo + block] @ wts[lo : lo + block])
+            out[i] += w * integral
     return out
 
 
@@ -529,39 +542,40 @@ def test_folded_mixture_matches_the_row_by_row_sum(monkeypatch, name, dimension)
     points = far_points(dimension)
     n_nodes = cfg.gh_nodes ** dimension
     for t in POISSON_TIMES:
-        times, weights = POISSON.mixture(t)
+        times, weights = _subordinated_times(t)
         sizes.clear()
         folded = mixture(f, points, times, weights, cfg)
         assert 0 < sum(sizes) < len(times) * points.shape[0] * n_nodes, t
-        reference = row_by_row(f, points, times, weights, cfg)
-        np.testing.assert_allclose(folded, reference, rtol=1e-15, atol=0.0, err_msg=str(t))
+        assert np.array_equal(folded, row_by_row(f, points, times, weights, cfg)), t
 
 
 def test_equal_rows_fold_at_the_first_position():
+    # equal rows fold in ascending time, their weights summed in input order
     times = (0.5, 800.0, 0.7, math.inf, 0.5)
     weights = (0.1, 0.2, 0.3, 0.4, 0.5)
-    r, s, w = _folded_rows(times, weights)
-    assert r.tolist() == [math.exp(-0.5), 0.0, math.exp(-0.7)]
-    assert s.tolist() == [math.sqrt(-math.expm1(-1.0)), 1.0, math.sqrt(-math.expm1(-1.4))]
-    assert w.tolist() == [0.1 + 0.5, 0.2 + 0.4, 0.3]
+    r, s, w = _row_table([_time_rows(times, weights)])
+    assert r.tolist() == [math.exp(-0.5), math.exp(-0.7), 0.0]
+    assert s.tolist() == [math.sqrt(-math.expm1(-1.0)), math.sqrt(-math.expm1(-1.4)), 1.0]
+    assert w.tolist() == [[0.1 + 0.5, 0.3, 0.2 + 0.4]]
 
 
 @pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_only_equal_pairs_fold(n, dimension):
-    # odd and even rules alike: the Poisson rows at r == 0.0 become one, at
-    # the first one's position, and every other row keeps its own f-points
+    # odd and even rules alike: the Poisson rows at r == 0.0 become one, the
+    # rows come out in ascending time, and every other row keeps its own
+    # f-points
     cfg = QuadratureConfig(gh_nodes=n)
     f, sizes = counted(bump(dimension))
     points = np.vstack([far_points(dimension), np.zeros((1, dimension))])
     for t in POISSON_TIMES:
-        times, weights = POISSON.mixture(t)
+        times, weights = _subordinated_times(t)
         pairs = [ou_module._decay_pair(float(u)) for u in times]
         kept = [pair for pair in pairs if pair[0] != 0.0]
         assert len(kept) < len(pairs) and any(pair[1] == 1.0 for pair in kept), t
-        expected = list(dict.fromkeys(pairs))
+        expected = sorted(set(pairs), key=lambda pair: (-pair[0], pair[1]))
         assert len(expected) == len(kept) + 1, t
-        r, s, _ = _folded_rows(times, weights)
+        r, s, _ = _row_table([_time_rows(times, weights)])
         assert list(zip(r.tolist(), s.tolist())) == expected, t
         sizes.clear()
         mixture(f, points, times, weights, cfg)
@@ -589,7 +603,7 @@ def test_a_point_does_not_depend_on_its_batch(dimension):
     f = catalog_entry("bump", dimension).rep
     points = far_points(dimension)
     for t in POISSON_TIMES:
-        times, weights = POISSON.mixture(t)
+        times, weights = _subordinated_times(t)
         alone = mixture(f, points[:1], times, weights, CFG)
         batch = mixture(f, points, times, weights, CFG)
         assert alone[0] == batch[0], t

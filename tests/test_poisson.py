@@ -28,13 +28,22 @@ from mehler import (
     hermite_eval,
 )
 from mehler.cones import ConeSpec, _cone_grid, cone_path
-from mehler.ou import _ANGLES, _angle_rows, _decay_rows, _folded_rows, _mixture_values
+from mehler.ou import (
+    _ANGLE_R,
+    _ANGLE_S,
+    _ANGLES,
+    _angle_rows,
+    _mixture_values,
+    _row_table,
+    _time_rows,
+)
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
     POISSON,
     SubordinationQuadrature,
     _kernel_rule,
     _kernel_times,
+    _subordinated_times,
     bochner_identity_error,
     poisson_apply,
     poisson_apply_kernel,
@@ -183,7 +192,7 @@ def test_split_scheme_cross_check():
     u, omega = split_rule()
     for t in (0.3, 1.5):
         a = poisson_apply_subordination(f, 0.4, t, CFG)
-        rows = _folded_rows(t * t / (4.0 * u), omega)
+        rows = _row_table([_time_rows(t * t / (4.0 * u), omega)])
         b = float(_mixture_values(f, np.array([[0.4]]), rows, CFG)[0])
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -196,7 +205,7 @@ def test_subordination_on_a_series_is_the_mixture_quadrature():
     x = np.array([0.4, -0.7])
     for t in (0.1, 1.5):
         u, omega = subordination_rule(DEFAULT_SUBORDINATION)
-        rows = _angle_rows(*_decay_rows(t * t / (4.0 * u)), omega)
+        rows = _angle_rows(t * t / (4.0 * u), omega)
         want = float(_mixture_values(as_function(s), x[None, :], rows, CFG)[0])
         assert poisson_apply_subordination(s, x, t, CFG) == want
 
@@ -208,7 +217,7 @@ def test_subordination_on_a_series_is_the_mixture_quadrature():
 
 def unprojected(f, points, t, cfg=CFG) -> np.ndarray:
     # the subordination mixture on its own folded rows
-    return _mixture_values(f, points, _folded_rows(*POISSON.mixture(t)), cfg)
+    return _mixture_values(f, points, _row_table([_time_rows(*_subordinated_times(t))]), cfg)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -217,32 +226,29 @@ def test_angle_rows_match_the_unprojected_mixture_on_bump(dimension):
     cfg = CFG if dimension < 3 else QuadratureConfig(gh_nodes=16)
     f = catalog_entry("bump", dimension).rep
     points = np.random.default_rng(dimension).uniform(-1.5, 1.5, size=(3, dimension))
-    for t in cfg.time_grid.values()[::4]:
-        assert _folded_rows(*POISSON.mixture(t))[0].size > _ANGLES + 1, t
+    for t in (*cfg.time_grid.values()[::4], 200.0, 1e3):
+        r, s, _ = POISSON.routes["subordination"](t)
+        assert np.array_equal(r, _ANGLE_R) and np.array_equal(s, _ANGLE_S), t
         got = POISSON.values(f, points, t, "subordination", cfg)
         np.testing.assert_allclose(got, unprojected(f, points, t, cfg), rtol=0.0, atol=1e-14,
                                    err_msg=str(t))
 
 
 def test_angle_rows_are_exact_at_both_ends():
-    r, s, c = _angle_rows(*_decay_rows((math.inf,)), (1.0,))
+    r, s, c = _angle_rows((math.inf,), (1.0,))
     assert r.size == s.size == c.size == _ANGLES + 1
     assert (r[0], s[0]) == (1.0, 0.0) and (r[-1], s[-1]) == (0.0, 1.0)
     assert c.tolist() == [0.0] * _ANGLES + [1.0]
     # t = 0 is the angle 0: all of its weight on the first row
-    assert _angle_rows(*_decay_rows((0.0,)), (0.5,))[2].tolist() == [0.5] + [0.0] * _ANGLES
+    assert _angle_rows((0.0,), (0.5,))[2].tolist() == [0.5] + [0.0] * _ANGLES
     xi = 0.5 * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
     np.testing.assert_allclose(np.arctan2(s, r), (math.pi / 2.0) * xi**1.5, rtol=0.0, atol=1e-15)
-    # the rows of many times are those of _folded_rows, to rounding
-    times = (1e-300, 1e-9, 0.3, 5.0, 700.0, 800.0)
-    np.testing.assert_allclose(np.stack(_decay_rows(times)),
-                               np.stack(_folded_rows(times, [1.0] * 6)[:2]), rtol=1e-15, atol=0.0)
 
 
 def test_angle_weights_keep_the_mixture_mass():
     for t in (*CFG.time_grid.values(), 1e-9, 50.0):
-        _, weights = POISSON.mixture(t)
-        _, _, c = POISSON._rows(t)
+        _, weights = _subordinated_times(t)
+        _, _, c = POISSON.routes["subordination"](t)
         assert c.size == _ANGLES + 1
         assert float(np.sum(c)) == pytest.approx(float(np.sum(weights)), rel=0.0, abs=1e-15), t
 
@@ -251,8 +257,9 @@ def test_kernel_route_keeps_its_own_rows():
     f = catalog_entry("bump", 2).rep
     points = np.array([[0.3, 0.2], [-1.0, 0.5]])
     for t in (0.1, 1.0, 4.0):
-        want = _mixture_values(f, points, _folded_rows(*_kernel_times(t)), CFG)
-        assert _folded_rows(*_kernel_times(t))[0].size > _ANGLES + 1
+        rows = _row_table([_time_rows(*_kernel_times(t))])
+        want = _mixture_values(f, points, rows, CFG)
+        assert rows[0].size > _ANGLES + 1
         assert POISSON.values(f, points, t, "kernel", CFG).tolist() == want.tolist(), t
 
 

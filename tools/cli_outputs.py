@@ -73,6 +73,8 @@ COMMANDS = {
     "poisson-apply-subordination-bump-d2-t4.txt": ["poisson-apply", "--function", "bump",
                                                    "--dim", "2", "--x", "0.3,0.2", "--t", "4",
                                                    "--route", "subordination"],
+    "poisson-apply-ball-d1-t200.txt": ["poisson-apply", "--function", "ball", "--x", "0.9",
+                                       "--t", "200"],
     "poisson-apply-kernel-bump-d2-t0.1.txt": ["poisson-apply", "--function", "bump",
                                               "--dim", "2", "--x", "0.3,0.2", "--t", "0.1",
                                               "--route", "kernel"],
