@@ -240,11 +240,7 @@ def _cmd_apply(args) -> int:
 def _cmd_maximal(args) -> int:
     entry = catalog_entry(args.function, args.dim)
     x = _point(args)
-    sg, cfg = SEMIGROUPS[args.semigroup], _quadrature(args)
-    if args.cone is None:
-        est = sg.maximal(entry.rep, x, cfg)
-    else:
-        est = sg.cone_maximal(entry.rep, x, args.cone, cfg)
+    est = SEMIGROUPS[args.semigroup].maximal(entry.rep, x, _quadrature(args), cone=args.cone)
     payload = {"value": est.value, "argmax": est.argmax, "grid_size": est.grid_size}
     sys.stdout.write(to_json(payload))
     return 0

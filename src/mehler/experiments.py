@@ -127,6 +127,20 @@ class ConvergenceRecord:
     t_star: float
 
 
+def _path_errors(config: ExperimentConfig, apex: tuple, points) -> list[float]:
+    """|S_t f(y) - f(apex)| at each (y, t) of points, as Python floats.
+
+    The values are one `Semigroup.values` call about the apex in config.cone,
+    so a path takes f once per row whatever its points.
+    """
+    f = catalog_entry(config.function, config.dimension).rep
+    target = float(f.values(np.asarray([apex], dtype=float))[0])
+    ys, ts = zip(*points)
+    sg = SEMIGROUPS[config.semigroup]
+    vals = sg.values(f, ys, ts, "auto", config.quadrature, apex, config.cone)
+    return [abs(v - target) for v in vals.tolist()]
+
+
 def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
     """Sup error over in-cone path points below each alpha, per apex.
 
@@ -134,61 +148,49 @@ def run_convergence(config: ExperimentConfig) -> list[ConvergenceRecord]:
     than the smallest alpha, otherwise the last records would be suprema
     over empty sets and the run is rejected up front.
     """
-    entry = catalog_entry(config.function, config.dimension)
-    f = entry.rep
-    cfg = config.quadrature
-    sg = SEMIGROUPS[config.semigroup]
     min_alpha = min(config.alphas)
     records = []
     for apex in sorted(config.apexes):
         spec = ConeSpec(apex, config.cone)
-        path = cone_path(spec, config.path_points, config.eta, config.decay, cfg=cfg)
+        path = cone_path(spec, config.path_points, config.eta, config.decay, cfg=config.quadrature)
         if path.points[-1][1] >= min_alpha:
             raise ValueError(
                 "path_points/decay: path bottoms out at t="
                 f"{path.points[-1][1]:.3e}, above the smallest alpha {min_alpha:.3e};"
                 " increase path_points or shrink decay"
             )
-        target = float(f.values(np.asarray([apex], dtype=float))[0])
-        ys, ts = zip(*path.points)
-        errs = np.abs(sg.values(f, ys, ts, "auto", cfg, apex, config.cone) - target)
+        errs = _path_errors(config, apex, path.points)
         for alpha in sorted(config.alphas, reverse=True):
             # ascending t among eligible points: ties resolve to smallest t
-            eligible = [i for i in reversed(range(len(ts))) if ts[i] < alpha]
-            err, i = _first_max(errs[eligible], eligible.__getitem__)
+            eligible = [i for i in reversed(range(len(errs))) if path.points[i][1] < alpha]
+            err, i = _first_max([errs[j] for j in eligible], eligible.__getitem__)
+            y, t = path.points[i]
             records.append(ConvergenceRecord(
-                apex=apex, alpha=alpha, sup_error=err, y_star=ys[i], t_star=ts[i]
+                apex=apex, alpha=alpha, sup_error=err, y_star=y, t_star=t
             ))
     return records
 
 
 def run_tangential_contrast(config: ExperimentConfig) -> list[dict]:
     """Side-by-side error rows for an in-cone path and a tangential path."""
-    entry = catalog_entry(config.function, config.dimension)
-    f = entry.rep
-    cfg = config.quadrature
-    sg = SEMIGROUPS[config.semigroup]
     rows = []
     for apex in sorted(config.apexes):
         spec = ConeSpec(apex, config.cone)
-        target = float(f.values(np.asarray([apex], dtype=float))[0])
         cone_pts = cone_path(
-            spec, config.path_points, config.eta, config.decay, cfg=cfg
+            spec, config.path_points, config.eta, config.decay, cfg=config.quadrature
         ).points
         tang_pts = tangential_path(
             apex, config.path_points, config.exponent, decay=config.decay
         )
         for label, pts in (("cone", cone_pts), ("tangential", tang_pts)):
-            ys, ts = zip(*pts)
-            vals = sg.values(f, ys, ts, "auto", cfg, apex, config.cone)
-            for y, t, v in zip(ys, ts, vals.tolist()):
+            for (y, t), err in zip(pts, _path_errors(config, apex, pts)):
                 rows.append(
                     {
                         "apex": apex,
                         "path": label,
                         "t": t,
                         "y": y,
-                        "error": abs(v - target),
+                        "error": err,
                         "in_cone": cone_contains(spec, y, t),
                     }
                 )

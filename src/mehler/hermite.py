@@ -516,7 +516,11 @@ def _gh_blocks(values: Callable | None, centres: np.ndarray, scales: np.ndarray,
     """f on centres[a] + scales[a] * nodes for every anchor a, the one packer of f's calls.
 
     rule is (nodes (m, d), weights (m,)), nodes Fortran-ordered like
-    gauss_hermite_grid's. The anchors are taken in order in groups of
+    gauss_hermite_grid's. centres is (anchors, d), or a single row that
+    every anchor shares (a ball about one point): then it is broadcast, so
+    a block adds it to d long rows, not to one short row per anchor (per
+    anchor, the d = 3 ball profile of 16 radii took 40% longer). The
+    anchors, one per scale, are taken in order in groups of
     _BLOCK_POINTS // m, or one when m alone exceeds _BLOCK_POINTS. Yields
     (group, blocks) per group, group the slice of its anchors, blocks
     yielding (points, values shaped (anchors, slice nodes), weights) per
@@ -529,15 +533,10 @@ def _gh_blocks(values: Callable | None, centres: np.ndarray, scales: np.ndarray,
     gives one group.
     """
     nodes, wts = rule
-    # anchors of one centre (a ball about one point) take it once, so the sum
-    # below adds it to d long rows, not to one short row per anchor: per
-    # anchor, the d = 3 ball profile of 16 radii took 40% longer. The ends
-    # first keep the test off the mixtures, whose centres differ.
-    one = scales.size > 1 and bool(np.all(centres[-1] == centres[0])
-                                   and np.all(centres == centres[0]))
+    shared = centres.shape[0] == 1
 
     def blocks(group):
-        centre = centres[group].T[:, : 1 if one else None, None]
+        centre = (centres if shared else centres[group]).T[:, :, None]
         scale = scales[group][None, :, None]
         for lo in range(0, wts.size, _BLOCK_POINTS):
             pts = centre + scale * nodes.T[:, None, lo : lo + _BLOCK_POINTS]

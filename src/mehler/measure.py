@@ -190,8 +190,7 @@ def _ball_profile(values, center: np.ndarray, radii: np.ndarray, cfg: Quadrature
     rw = rw * rho ** (d - 1)
     sums = np.zeros((2, rho.size))
     rule = _sphere_rule(d, cfg.ball_nodes)
-    centres = np.broadcast_to(center, (rho.size, d))
-    for rows, blocks in _gh_blocks(values, centres, rho, rule):
+    for rows, blocks in _gh_blocks(values, center[None, :], rho, rule):
         for pts, vals, w in blocks:
             g = np.exp(-np.sum(pts.T * pts.T, axis=0)).reshape(-1, w.size) * w
             sums[1, rows] += g.sum(axis=1)

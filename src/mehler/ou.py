@@ -2,15 +2,15 @@
 
 A `Semigroup` is its decay rate on the chaos of degree k = |beta| (k for
 T_t, sqrt(k) for the Poisson-Hermite P_t), its cone kinds and its route
-table: each route a mixture t -> (times, weights) with S_t f = sum_j w_j
-T_{s_j} f, the first the default. `Semigroup.values` is the one evaluator:
+table: each route a function t -> (r, s, w), the rows of a mixture of OU
+times (below), the first the default. `Semigroup.values` is the one evaluator:
 it resolves 'auto' (spectral for series), checks the times and takes S_t f
 by any route at a list of (point, time) pairs, optionally about one apex.
-apply, the transform, the time and cone suprema and the paths and checks of
-`mehler.experiments` are calls to it, and each public `ou_apply*` and
-`poisson_apply*` function is one call to apply. The scope is d <= 3: cone
-cross-sections (`mehler.cones._cone_grid`), like the ball rules of
-`mehler.measure`, raise ValueError above it.
+apply, the transform, the one supremum `maximal` (over time, or over a
+cone) and the paths and checks of `mehler.experiments` are calls to it,
+and each public `ou_apply*` and `poisson_apply*` function is one call to
+apply. The scope is d <= 3: cone cross-sections (`mehler.cones._cone_grid`),
+like the ball rules of `mehler.measure`, raise ValueError above it.
 
 T_t's routes (its cones are "parabolic-gaussian" and "truncated-parabolic"):
 
@@ -31,14 +31,12 @@ Every value is a weighted mixture sum_k w_k T_{t_k} f at a (point, time)
 pair, and T_t f is an integral on the row (r, s) = (e^{-t}, sqrt(1 -
 e^{-2t})). A route maps a finite time to its rows (r, s, w): OU's one row
 (_time_rows), P_t's kernel rows, or P_t's default mixture moved onto the 33
-fixed angle rows (_angle_rows): a row is the angle theta = atan2(s, r), its
-integral is smooth in theta for smooth f, and integrating the interpolant
-exactly against the mixture takes 33 integrals per value whatever the time.
-t = inf is one row for every route, the gamma-mean's (_GAMMA_MEAN).
-`_mixture_values` takes all the pairs of one `Semigroup.values` call at
-once, keyed by row: equal rows fold in one place (_row_table), so a row is
-integrated once per point however many times share it. The theta = 0 row
-(s = 0) is T_0 f = f: one f-value per point, times the rule's weight sum.
+fixed angle rows (`mehler.poisson._angle_rows`). t = inf is one row for
+every route, the gamma-mean's (_GAMMA_MEAN). `_mixture_values` takes all
+the pairs of one `Semigroup.values` call at once, keyed by row: equal rows
+fold in one place (_row_table), so a row is integrated once per point
+however many times share it. The s = 0 row is T_0 f = f: one f-value per
+point, times the rule's weight sum.
 
 Every other integral takes f on c + s*nodes of one Gauss-Hermite rule, for
 anchors (c, s), through the walker `hermite._gh_blocks`. It alone packs
@@ -80,9 +78,10 @@ its times, not on its apex. Series inputs keep the spectral route.
 Suprema over continuous time and over cone cross-sections are taken on
 recorded grids; every estimate reports its grid size, and ties are broken
 toward the smallest time and then lexicographically in the point so
-repeated runs land on the same argmax. A cone supremum takes its (time x
-cell) grid whole from `mehler.cones._cone_grid` and evaluates it by one
-`Semigroup.values` call about its apex.
+repeated runs land on the same argmax. `Semigroup.maximal` takes its grid
+whole, the time ladder at the apex or the (time x cell) grid of
+`mehler.cones._cone_grid`, and evaluates it by one `Semigroup.values` call
+about its apex.
 """
 
 from __future__ import annotations
@@ -138,55 +137,8 @@ def _time_rows(times, weights):
 
 # the t = inf row of every quadrature route: T_inf f is the gamma-mean of f
 _GAMMA_MEAN = (np.zeros(1), np.ones(1), np.ones(1))
-
-
-# interpolation order of the fixed angle rows of a long mixture (_angle_rows),
-# set from measured error: at 16, on angles spread evenly in theta, the P_t
-# paths of the perfbench poisson-path workload missed its 1e-9 `bump_abs`
-# check (by 1.2e-9 at seed 1, 2.0e-9 at seed 2); at 32, on the angles below,
-# the values stay within 8.7e-16 of the unprojected sums on bump, d = 1, 2,
-# over the default time grid
-_ANGLES = 32
-# Chebyshev-Lobatto points xi on [0, 1], and the angles theta = (pi/2) xi^{3/2}
-_XI = 0.5 * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
-_THETA = (math.pi / 2.0) * _XI**1.5
-# the rows (cos theta_k, sin theta_k), exact at both ends: T_0 and the gamma-mean
-_ANGLE_R = np.cos(_THETA)
-_ANGLE_S = np.sin(_THETA)
-_ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
-for _fixed in (*_GAMMA_MEAN, _XI, _THETA, _ANGLE_R, _ANGLE_S):
+for _fixed in _GAMMA_MEAN:
     _fixed.flags.writeable = False
-
-
-def _angle_rows(times, w):
-    """The mixture sum_j w_j T_{t_j} f, moved onto the fixed angle rows.
-
-    A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
-    even in theta (the gaussian is symmetric) and smooth on [0, pi/2] for
-    smooth f, so it is a smooth function of xi^3 for theta = (pi/2)
-    xi^{3/2}. Interpolating g in xi at the Chebyshev-Lobatto points xi_k
-    and integrating the interpolant exactly against the mixture gives the
-    fixed rows (cos theta_k, sin theta_k) with weights c_k = sum_j w_j
-    l_k(xi_j), xi_j = (2 theta_j / pi)^{2/3}, theta_j = atan2(s_j, r_j) on
-    the row (r_j, s_j) of t_j, l_k the barycentric Lagrange basis (Berrut
-    and Trefethen, SIAM Review 2004). The rows are numpy's, which may round
-    otherwise than _decay_pair's: they only place the times on the angles.
-    The angles crowd toward theta = 0, where a short time's mixture lies
-    (see the poisson module docstring). A xi_j equal to a node (t = inf, and
-    every t above about 745, gives 1) puts its whole weight on it, so equal
-    rows need no fold first. The weights depend on the times alone, and sum
-    to sum_j w_j to rounding.
-    """
-    ts = np.asarray(times, dtype=float)
-    bary = (-1.0) ** np.arange(_ANGLES + 1)
-    bary[[0, -1]] *= 0.5
-    xi = (np.arctan2(np.sqrt(-np.expm1(-2.0 * ts)), np.exp(-ts)) / (math.pi / 2.0)) ** (2.0 / 3.0)
-    w = np.asarray(w, dtype=float)
-    k = np.searchsorted(_XI, xi)
-    node = _XI[k] == xi
-    terms = bary / (xi[~node, None] - _XI)
-    c = (w[~node] / terms.sum(axis=1)) @ terms
-    return _ANGLE_R, _ANGLE_S, c + np.bincount(k[node], w[node], minlength=_ANGLES + 1)
 
 
 def _row_table(mixtures):
@@ -201,11 +153,6 @@ def _row_table(mixtures):
     rows, so every point sums its terms in one order whatever else shares
     its call. w is (mixtures, rows), zero where a mixture lacks a row.
     """
-    if len(mixtures) == 1 and np.all(np.diff(mixtures[0][0]) < 0.0):
-        # one mixture of distinct rows in that order already (OU's one row,
-        # the fixed angle rows, the kernel route's rows)
-        r, s, w = mixtures[0]
-        return r, s, w[None]
     r = np.concatenate([m[0] for m in mixtures])
     s = np.concatenate([m[1] for m in mixtures])
     keys, col = np.unique(-r + 1j * s, return_inverse=True)
@@ -330,14 +277,6 @@ def _mixture_values(
     return out
 
 
-def _series_of(f) -> HermiteSeries | None:
-    if isinstance(f, HermiteSeries):
-        return f
-    if isinstance(f, SeriesFunction):
-        return f.series
-    return None
-
-
 def _multiplied(series: HermiteSeries, factor: Callable[[int], float]) -> HermiteSeries:
     """The series with each coefficient c_beta multiplied by factor(|beta|)."""
     return HermiteSeries(
@@ -353,7 +292,7 @@ class Semigroup:
     route's name to its rows t -> (r, s, w) at a finite t > 0, with S_t f =
     sum_k w_k T f on the row (r_k, s_k) for a black-box f, the first route
     being the default; at t = inf every route is the one row _GAMMA_MEAN.
-    cones holds the cone kinds of `cone_maximal`.
+    cones holds the cone kinds `maximal` takes.
     """
 
     prefix: str
@@ -372,7 +311,7 @@ class Semigroup:
         route needs every t > 0 (t = inf gives the gamma-mean).
         """
         f = as_function(f)
-        series = _series_of(f)
+        series = f.series if isinstance(f, SeriesFunction) else None
         if route == "auto":
             route = "spectral" if series is not None else next(iter(self.routes))
         ts = np.asarray(times, dtype=float)
@@ -459,36 +398,35 @@ class Semigroup:
 
         return PointwiseFunction(f.dimension, evaluator, vectorized=True, name=name)
 
-    def maximal(self, f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None) -> MaximalEstimate:
-        """sup_t |S_t f(x)| over a log time grid, with the t = inf mean appended."""
-        f = as_function(f)
-        xa = _single_point(x, f.dimension)
-        ts = [*(cfg.time_grid.values() if times is None else _positive_times(times)), math.inf]
-        vals = self.values(f, np.repeat(xa[None, :], len(ts), axis=0), ts, "auto", cfg, xa)
-        value, arg = _first_max(vals, lambda i: float(ts[i]))
-        return MaximalEstimate(value=value, argmax=arg, grid_size=len(ts))
-
-    def cone_maximal(
-        self, f, x, kind: str, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None
+    def maximal(
+        self, f, x, cfg: QuadratureConfig = DEFAULT_CONFIG, times=None, cone: str | None = None
     ) -> MaximalEstimate:
-        """sup |S_t f(y)| over (y, t) inside the cone of the given kind at apex x.
+        """sup |S_t f| about the apex x: over time at x, or over a cone of the given kind.
 
-        The grid is `mehler.cones._cone_grid`: a log time ladder honoring the
-        cone's time window and, at each time, rings of points at fixed
-        fractions of the aperture. The achieving (y, t) pair is the argmax.
+        With no cone it is sup_t |S_t f(x)| over a log time grid, with the t =
+        inf mean appended, and the argmax is a time. With a cone it is sup
+        |S_t f(y)| over (y, t) inside the cone at apex x, on the grid of
+        `mehler.cones._cone_grid`: a log time ladder honoring the cone's time
+        window and, at each time, rings of points at fixed fractions of the
+        aperture; the argmax is the achieving (y, t) pair. Either grid is one
+        `values` call about x.
         """
-        if kind not in self.cones:
-            raise ValueError(f"kind must be one of {self.cones}, got {kind!r}")
+        if cone is not None and cone not in self.cones:
+            raise ValueError(f"kind must be one of {self.cones}, got {cone!r}")
         f = as_function(f)
         xa = _single_point(x, f.dimension)
-        ts, cells = _cone_grid(ConeSpec(xa, kind), cfg, times)
-        pts = cells.reshape(-1, f.dimension)
-        pt_times = np.repeat(ts, cells.shape[1])
-        vals = self.values(f, pts, pt_times, "auto", cfg, xa, kind)
+        if cone is None:
+            ts = np.append(cfg.time_grid.values() if times is None else _positive_times(times),
+                           math.inf)
+            pts = np.repeat(xa[None, :], ts.size, axis=0)
+        else:
+            ts, cells = _cone_grid(ConeSpec(xa, cone), cfg, times)
+            pts = cells.reshape(-1, f.dimension)
+            ts = np.repeat(ts, cells.shape[1])
+        vals = self.values(f, pts, ts, "auto", cfg, xa, cone)
         # grid order is t ascending, then lexicographic y: the first largest wins ties
-        value, arg = _first_max(
-            vals, lambda i: (tuple(float(c) for c in pts[i]), float(pt_times[i]))
-        )
+        at = ts.item if cone is None else lambda i: (tuple(pts[i].tolist()), ts.item(i))
+        value, arg = _first_max(vals, at)
         return MaximalEstimate(value=value, argmax=arg, grid_size=pts.shape[0])
 
 
@@ -550,8 +488,8 @@ def nontangential_maximal(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     times=None,
 ) -> MaximalEstimate:
-    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see Semigroup.cone_maximal."""
-    return OU.cone_maximal(f, x, kind, cfg, times)
+    """sup |T_t f(y)| over (y, t) inside the chosen cone at apex x; see Semigroup.maximal."""
+    return OU.maximal(f, x, cfg, times, kind)
 
 
 def maximal_bound_report(f, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:

@@ -31,15 +31,15 @@ rule holds the identity below 1e-11 over lambda in {0} and [1e-12, 5]
 growing like lambda. The kernel rule reproduces eigenvalue decay to about
 1e-10 for t in [0.1, 4].
 
-The default route is moved onto the 33 fixed angle rows of
-`mehler.ou._angle_rows` (interpolation order 32) at every finite t. A row's
-integral g(theta), theta = atan2(s, r), is even in theta, so it is smooth
-in xi^3 for theta = (pi/2) xi^{3/2}; g is interpolated in xi at
-Chebyshev-Lobatto points and the interpolant is integrated exactly. Where
-the mixture's distinct rows are 33 or fewer (t above about 120), this
-moves a value by rounding only. So a value takes 33 row integrals
-whatever t, and a path, cone or time supremum about one apex takes f on
-those 33 anchors (`mehler.ou._mixture_values`). The angles crowd toward 0,
+The default route is moved onto the 33 fixed angle rows of `_angle_rows`
+(interpolation order 32) at every finite t. A row (r, s) is the angle theta
+= atan2(s, r), and its integral g(theta) is even in theta, so it is smooth
+in xi^3 for theta = (pi/2) xi^{3/2} for smooth f; g is interpolated in xi
+at Chebyshev-Lobatto points and the interpolant is integrated exactly
+against the mixture. Where the mixture's distinct rows are 33 or fewer (t
+above about 120), this moves a value by rounding only. So a value takes 33
+row integrals whatever t, and a path, cone or time supremum about one apex
+takes f on those 33 anchors (`mehler.ou._mixture_values`). The angles crowd toward 0,
 where a short time's mixture lies: a point at distance e from the ball's
 rim turns g near theta = e. On bump the projection stays within 1e-14 of
 the unprojected sums (tests/test_poisson.py). On the ball indicator and the
@@ -61,7 +61,7 @@ import numpy as np
 
 from .hermite import DEFAULT_CONFIG, FunctionRep, QuadratureConfig
 from .measure import MaximalEstimate, _panel_points
-from .ou import Semigroup, _angle_rows, _time_rows
+from .ou import Semigroup, _time_rows
 
 # flat-tail cut for the kernel route: e^{-L} ~ 1e-8 beyond this, so T_L f is
 # replaced by the gamma-mean and the remaining weight integrates to an erf
@@ -71,6 +71,54 @@ _KERNEL_U_CUT = 30.0
 # panel count and Gauss-Legendre order per panel of the kernel route
 _KERNEL_PANELS = 40
 _KERNEL_PANEL_ORDER = 12
+
+# interpolation order of the fixed angle rows of a long mixture (_angle_rows),
+# set from measured error: at 16, on angles spread evenly in theta, the P_t
+# paths of the perfbench poisson-path workload missed its 1e-9 `bump_abs`
+# check (by 1.2e-9 at seed 1, 2.0e-9 at seed 2); at 32, on the angles below,
+# the values stay within 8.7e-16 of the unprojected sums on bump, d = 1, 2,
+# over the default time grid
+_ANGLES = 32
+# Chebyshev-Lobatto points xi on [0, 1], and the angles theta = (pi/2) xi^{3/2}
+_XI = 0.5 * (1.0 - np.cos(np.arange(_ANGLES + 1) * math.pi / _ANGLES))
+_THETA = (math.pi / 2.0) * _XI**1.5
+# the rows (cos theta_k, sin theta_k), exact at both ends: T_0 and the gamma-mean
+_ANGLE_R = np.cos(_THETA)
+_ANGLE_S = np.sin(_THETA)
+_ANGLE_S[0], _ANGLE_R[-1], _ANGLE_S[-1] = 0.0, 0.0, 1.0
+for _fixed in (_XI, _THETA, _ANGLE_R, _ANGLE_S):
+    _fixed.flags.writeable = False
+
+
+def _angle_rows(times, w):
+    """The mixture sum_j w_j T_{t_j} f, moved onto the fixed angle rows.
+
+    A row's integral g(theta) = T f(x) at r = cos theta, s = sin theta is
+    even in theta (the gaussian is symmetric) and smooth on [0, pi/2] for
+    smooth f, so it is a smooth function of xi^3 for theta = (pi/2)
+    xi^{3/2}. Interpolating g in xi at the Chebyshev-Lobatto points xi_k
+    and integrating the interpolant exactly against the mixture gives the
+    fixed rows (cos theta_k, sin theta_k) with weights c_k = sum_j w_j
+    l_k(xi_j), xi_j = (2 theta_j / pi)^{2/3}, theta_j = atan2(s_j, r_j) on
+    the row (r_j, s_j) of t_j, l_k the barycentric Lagrange basis (Berrut
+    and Trefethen, SIAM Review 2004). The rows are numpy's, which may round
+    otherwise than `mehler.ou._decay_pair`'s: they only place the times on
+    the angles. The angles crowd toward theta = 0, where a short time's
+    mixture lies (see the module docstring). A xi_j equal to a node (t =
+    inf, and every t above about 745, gives 1) puts its whole weight on it,
+    so equal rows need no fold first. The weights depend on the times alone, and sum
+    to sum_j w_j to rounding.
+    """
+    ts = np.asarray(times, dtype=float)
+    bary = (-1.0) ** np.arange(_ANGLES + 1)
+    bary[[0, -1]] *= 0.5
+    xi = (np.arctan2(np.sqrt(-np.expm1(-2.0 * ts)), np.exp(-ts)) / (math.pi / 2.0)) ** (2.0 / 3.0)
+    w = np.asarray(w, dtype=float)
+    k = np.searchsorted(_XI, xi)
+    node = _XI[k] == xi
+    terms = bary / (xi[~node, None] - _XI)
+    c = (w[~node] / terms.sum(axis=1)) @ terms
+    return _ANGLE_R, _ANGLE_S, c + np.bincount(k[node], w[node], minlength=_ANGLES + 1)
 
 
 @dataclass(frozen=True)
@@ -228,4 +276,4 @@ def poisson_nontangential_maximal(
     aperture-fraction rings, ties resolved toward small t then lexicographic
     y, with the achieving (y, t) pair returned.
     """
-    return POISSON.cone_maximal(f, x, "gaussian", cfg, times)
+    return POISSON.maximal(f, x, cfg, times, "gaussian")

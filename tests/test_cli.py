@@ -178,6 +178,11 @@ def test_config_file_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "converge", "--config", str(bad))
     assert code == 2
     assert "key=value" in err
+    for line in ("decay =", "= 0.6"):
+        bad.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "converge", "--config", str(bad))
+        assert code == 2
+        assert f"bad.cfg:1: expected key=value, got {line!r}" in err
     code, _, err = run_cli(capsys, "converge", "--config", str(tmp_path / "missing.cfg"))
     assert code == 2
 

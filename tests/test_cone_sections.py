@@ -25,7 +25,6 @@ from mehler.hermite import LogGrid
 from mehler.measure import hl_maximal
 from mehler.ou import (
     OU,
-    _ANGLES,
     _TILT_CAP,
     _mixture_values,
     _row_table,
@@ -35,6 +34,7 @@ from mehler.ou import (
 )
 from mehler.poisson import (
     POISSON,
+    _ANGLES,
     _subordinated_times,
     poisson_maximal,
     poisson_nontangential_maximal,

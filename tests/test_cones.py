@@ -271,6 +271,8 @@ def test_path_rejects_bad_arguments():
         cone_path(spec, 4, 0.5, 1.0)
     with pytest.raises(ValueError):
         cone_path(spec, 4, 0.5, 0.5, direction=(0.0,))
+    with pytest.raises(ValueError, match=r"direction has shape \(2,\), path lives in R\^1"):
+        cone_path(spec, 4, 0.5, 0.5, direction=(1.0, 0.0))
 
 
 BAD_DIRECTIONS = [(math.inf, 0.0), (math.nan, 1.0), (0.0, 0.0)]
@@ -318,6 +320,8 @@ def test_approach_path_validates_membership():
         ApproachPath(spec, (((0.0,), 0.01), ((0.0,), 0.01)), 0.5)
     with pytest.raises(ValueError):
         ApproachPath(spec, (), 0.5)
+    with pytest.raises(ValueError, match=r"fraction must lie in \[0, 1\)"):
+        ApproachPath(spec, (((0.0,), 0.01),), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +361,10 @@ def test_tangential_path_rejects_flat_or_steep_exponent():
         tangential_path(0.0, 5, 0.0)
     with pytest.raises(ValueError):
         tangential_path(0.0, 5, 0.25, decay=1.5)
+    with pytest.raises(ValueError, match="need at least one path point"):
+        tangential_path(0.0, 0, 0.25)
+    with pytest.raises(ValueError, match="t_start must be positive"):
+        tangential_path(0.0, 5, 0.25, t_start=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +375,8 @@ def test_tangential_path_rejects_flat_or_steep_exponent():
 def test_spec_validation():
     with pytest.raises(ValueError):
         ConeSpec((0.0,), "round")
+    with pytest.raises(ValueError, match="apex must be a point in R\\^d"):
+        ConeSpec(np.zeros((2, 2)), PARABOLIC)
     with pytest.raises(ValueError):
         ConeSpec((math.nan,), PARABOLIC)
     with pytest.raises(ValueError):

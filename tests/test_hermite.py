@@ -149,6 +149,8 @@ def test_enumeration_is_graded_lex_and_complete(d, m):
 def test_enumeration_rejects_zero_dimension():
     with pytest.raises(ValueError):
         enumerate_multi_indices(0, 3)
+    with pytest.raises(ValueError, match="max_degree must be a nonnegative integer"):
+        enumerate_multi_indices(2, -1)
 
 
 def test_degree_cap_enforced():
@@ -156,6 +158,14 @@ def test_degree_cap_enforced():
         MultiIndex((61,))
     with pytest.raises(ValueError):
         enumerate_multi_indices(1, 61)
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        hermite_values_1d(-1, np.zeros(2))
+    with pytest.raises(ValueError, match="exceeds the supported cap 60"):
+        hermite_values_1d(61, np.zeros(2))
+    with pytest.raises(ValueError, match="chaos order must be >= 0"):
+        project_chaos(HermiteSeries(1, {(1,): 1.0}), -1)
+    with pytest.raises(ValueError, match="chaos order 61 exceeds the supported cap 60"):
+        project_chaos(HermiteSeries(1, {(1,): 1.0}), 61)
 
 
 def test_multi_index_validation():
@@ -437,6 +447,18 @@ def test_series_rejects_bad_coefficients():
         HermiteSeries(1, {(0,): float("nan")})
     with pytest.raises(ValueError):
         HermiteSeries(2, {(1,): 1.0})  # wrong index dimension
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        HermiteSeries(0, {})
+
+
+def test_pointwise_function_validation():
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        PointwiseFunction(0, lambda p: p)
+    with pytest.raises(ValueError, match="evaluator must be callable"):
+        PointwiseFunction(1, 2.0)
+    wide = PointwiseFunction(1, lambda p: np.zeros((p.shape[0], 2)), vectorized=True)
+    with pytest.raises(ValueError, match=r"returned shape \(3, 2\), expected \(3,\)"):
+        wide.values(np.zeros((3, 1)))
 
 
 def test_as_function_coercions():
@@ -446,6 +468,12 @@ def test_as_function_coercions():
     assert g(2.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         as_function(lambda p: p)  # callable without a dimension
+    with pytest.raises(ValueError, match="function dimension 1 does not match 2"):
+        as_function(as_function(s), dimension=2)
+    with pytest.raises(ValueError, match="series dimension 1 does not match 2"):
+        as_function(s, dimension=2)
+    with pytest.raises(ValueError, match="cannot interpret str"):
+        as_function("x")
 
 
 def test_point_normalization_errors():
@@ -453,6 +481,10 @@ def test_point_normalization_errors():
         hermite_eval((1, 1), 0.5)  # scalar point for d=2
     with pytest.raises(ValueError):
         hermite_eval((1,), np.zeros((2, 2)))  # wrong width
+    with pytest.raises(ValueError, match="axis 2 out of range for dimension 2"):
+        hermite_deriv((1, 1), (0.5, 0.5), 2)
+    with pytest.raises(ValueError, match="multi-index dimension 2 does not match function"):
+        fourier_hermite_coeff(HermiteSeries(1, {(1,): 1.0}), (1, 0))
 
 
 def test_non_finite_integrand_reports_node():
@@ -465,6 +497,11 @@ def test_non_finite_integrand_reports_node():
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(gh_nodes=1)
+    with pytest.raises(ValueError, match="ball_nodes must be >= 2"):
+        QuadratureConfig(ball_nodes=1)
+    for grid in ({"cross_radial": 1}, {"cross_angular": 0}):
+        with pytest.raises(ValueError, match="cross-section grid needs"):
+            QuadratureConfig(**grid)
     with pytest.raises(ValueError):
         LogGrid(1, 1e-3, 1.0)
     with pytest.raises(ValueError):

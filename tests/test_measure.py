@@ -225,6 +225,8 @@ def test_ball_validation():
         GaussianBall((0.0,), -1.0)
     with pytest.raises(ValueError):
         GaussianBall((math.nan,), 1.0)
+    with pytest.raises(ValueError, match="ball center needs at least one coordinate"):
+        GaussianBall((), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def test_cone_kinds_are_the_semigroup_table():
     assert OU.cones == ("parabolic-gaussian", "truncated-parabolic")
     assert POISSON.cones == ("gaussian",)
     with pytest.raises(ValueError, match=r"kind must be one of \('gaussian',\)"):
-        POISSON.cone_maximal(H2, 0.5, "truncated-parabolic")
+        POISSON.maximal(H2, 0.5, cone="truncated-parabolic")
     with pytest.raises(ValueError, match="got 'gaussian'"):
         nontangential_maximal(H2, 0.5, "gaussian")
 
@@ -649,6 +649,18 @@ def test_one_bad_time_among_many_raises(name):
         sg.values(H2, pts, [0.0, -0.1, 1.0], "auto")
     with pytest.raises(ValueError, match="expected one time or 3"):
         sg.values(H2, pts, [0.5, 1.0], "auto")
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_no_points_give_an_empty_array(name):
+    # every route, one time or none, with and without an apex and its cone
+    sg = SEMIGROUPS[name]
+    for route in ("auto", *sg.routes, "spectral"):
+        f = H2 if route == "spectral" else bump()
+        for times in (0.5, np.zeros(0)):
+            for about in ({}, {"apex": 0.5}, {"apex": 0.5, "cone": sg.cones[0]}):
+                out = sg.values(f, np.zeros((0, 1)), times, route, CFG, **about)
+                assert out.dtype == np.float64 and out.shape == (0,), (route, times, about)
 
 
 # ---------------------------------------------------------------------------

@@ -28,19 +28,15 @@ from mehler import (
     hermite_eval,
 )
 from mehler.cones import ConeSpec, _cone_grid, cone_path
-from mehler.ou import (
-    _ANGLE_R,
-    _ANGLE_S,
-    _ANGLES,
-    _angle_rows,
-    _mixture_values,
-    _row_table,
-    _time_rows,
-)
+from mehler.ou import _mixture_values, _row_table, _time_rows
 from mehler.poisson import (
     DEFAULT_SUBORDINATION,
     POISSON,
     SubordinationQuadrature,
+    _ANGLE_R,
+    _ANGLE_S,
+    _ANGLES,
+    _angle_rows,
     _kernel_rule,
     _kernel_times,
     _subordinated_times,
@@ -532,6 +528,8 @@ def test_nontangential_argmax_in_gaussian_cone():
 def test_quadrature_validation():
     with pytest.raises(ValueError):
         SubordinationQuadrature(nodes=8)
+    with pytest.raises(ValueError, match="decay rate must be nonnegative"):
+        bochner_identity_error(-1.0)
 
 
 def test_time_validation():

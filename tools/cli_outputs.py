@@ -17,6 +17,8 @@ COMMANDS = {
     "verify-fast-seed7.json": ["verify", "--level", "fast", "--seed", "7"],
     "verify-full-seed7.json": ["verify", "--level", "full", "--seed", "7"],
     "converge-h_2.csv": ["converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5"],
+    "converge-h_2.json": ["converge", "--function", "h_2", "--apex", "1.0", "--apex", "-0.5",
+                          "--format", "json"],
     "converge-poisson-ball-d1.csv": ["converge", "--semigroup", "poisson", "--cone", "gaussian",
                                      "--function", "ball", "--apex", "0.5"],
     "converge-poisson-ball-d1-rim.csv": ["converge", "--semigroup", "poisson", "--function", "ball",
@@ -26,6 +28,9 @@ COMMANDS = {
     "contrast-poisson-gaussian-bump-d2.csv": ["contrast", "--semigroup", "poisson", "--cone",
                                               "gaussian", "--function", "bump", "--dim", "2",
                                               "--apex", "0.3,0.2"],
+    "contrast-poisson-gaussian-bump-d2.json": ["contrast", "--semigroup", "poisson", "--cone",
+                                               "gaussian", "--function", "bump", "--dim", "2",
+                                               "--apex", "0.3,0.2", "--format", "json"],
     "dominate-bump-d2.json": ["dominate", "--dim", "2", "--function", "bump", "--format", "json"],
     "dominate-ball-d2.json": ["dominate", "--dim", "2", "--function", "ball", "--format", "json"],
     "dominate-bump-d3.json": ["dominate", "--dim", "3", "--function", "bump",
